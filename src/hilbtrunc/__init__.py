@@ -8,9 +8,7 @@ residual behave as N grows, including under spectral noise.
 
 from .core import (
     CapabilityError,
-    Coefficients,
     ConfigError,
-    DenseMatrix,
     QuadratureRule,
     SpaceMismatchError,
     gauss_legendre,
@@ -22,18 +20,14 @@ from .operators import (
     BoundedOperator,
     MultiplicationSeq,
     MultiplicationX,
-    OperatorSpec,
     RightShift,
     SequenceLaw,
     SvdTriple,
     Volterra,
     WeightedRightShift,
     WeightedRightShiftZ,
-    apply,
     constant_law,
-    exact_svd,
     geometric_law,
-    make_operator,
     parse_law,
     parse_operator,
     power_law,
@@ -71,6 +65,5 @@ from .diagnostics import (
     noise_series,
     noisy_pipeline_check,
 )
-from .cli import ExperimentConfig, PRESETS, demo, list_presets, run
 
 __version__ = "0.1.0"

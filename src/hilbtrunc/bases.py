@@ -32,7 +32,6 @@ class OrthonormalBasis:
 
     label: str
     space: tuple
-    completeness: str  # "complete" | "possibly-incomplete"
     generator: Callable[[int], object]
     size: Optional[int] = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -78,7 +77,6 @@ def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
     return OrthonormalBasis(
         label=f"canonical[{domain}]",
         space=("seq", domain),
-        completeness="complete",
         generator=gen,
     )
 
@@ -101,7 +99,6 @@ def legendre_basis(interval) -> OrthonormalBasis:
     return OrthonormalBasis(
         label=f"legendre[{a:g},{b:g}]",
         space=("func", (a, b)),
-        completeness="complete",
         generator=gen,
     )
 
@@ -133,7 +130,6 @@ def fourier_basis(interval) -> OrthonormalBasis:
     return OrthonormalBasis(
         label=f"fourier[{a:g},{b:g}]",
         space=("func", (a, b)),
-        completeness="complete",
         generator=gen,
     )
 
@@ -184,7 +180,6 @@ def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:
     return KrylovBasis(
         label=f"krylov[{op.label}]",
         space=op.space,
-        completeness="possibly-incomplete",
         generator=lambda n: vectors[n - 1],
         size=len(vectors),
         hessenberg=H,
@@ -201,13 +196,11 @@ def svd_bases(op: BoundedOperator):
     trial = OrthonormalBasis(
         label=f"svd-right[{op.label}]",
         space=op.space,
-        completeness="complete" if triple.right_complete else "possibly-incomplete",
         generator=triple.right,
     )
     test = OrthonormalBasis(
         label=f"svd-left[{op.label}]",
         space=op.space,
-        completeness="complete" if triple.left_complete else "possibly-incomplete",
         generator=triple.left,
     )
     return trial, test
@@ -268,7 +261,6 @@ def adversarial_test_basis(
     return OrthonormalBasis(
         label=f"adversarial[{op.label};{trial.label}]",
         space=op.space,
-        completeness="possibly-incomplete",
         generator=gen,
         size=n_max,
     )

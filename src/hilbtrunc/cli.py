@@ -13,18 +13,11 @@ import argparse
 import configparser
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .core import (
-    CapabilityError,
-    Coefficients,
-    ConfigError,
-    DenseMatrix,
-    SpaceMismatchError,
-    singular_values,
-)
+from .core import CapabilityError, ConfigError, SpaceMismatchError, singular_values
 from .elements import Func, Seq
 from .operators import BoundedOperator, parse_law, parse_operator
 from .bases import (
@@ -37,7 +30,6 @@ from .bases import (
 )
 from .truncation import (
     SOLUTION_FAMILIES,
-    TruncatedProblem,
     compress,
     solve_cg,
     solve_direct,
@@ -52,6 +44,7 @@ from .diagnostics import (
 )
 
 KRYLOV_CONVENTION = "residual-minimization"
+SOLVERS = ("qr", "gmres", "cg")
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +143,28 @@ def _getfield(section, key, cast=str, default=None, required=False, where=""):
         raise ConfigError(f"bad value for {where}.{key}: {raw!r} ({exc})") from exc
 
 
-def _int_tuple(raw: str) -> tuple:
-    vals = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _index_tuple(raw: str, where: str) -> tuple:
+    """Comma-separated basis indices; each must be >= 1."""
+    try:
+        vals = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
+    if any(v < 1 for v in vals):
+        raise ConfigError(f"{where} entries must be >= 1, got {vals}")
     return vals
+
+
+def _n_list(raw: str, where: str) -> tuple:
+    n_list = _index_tuple(raw, where)
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"{where} must be strictly increasing, got {n_list}")
+    return n_list
+
+
+def _solver(name: str) -> str:
+    if name not in SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}")
+    return name
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -173,22 +185,24 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         sec = parser["truncation"]
         trial = _getfield(sec, "trial", required=True, where="truncation")
         n_list = _getfield(
-            sec, "n_list", cast=_int_tuple, required=True, where="truncation"
+            sec,
+            "n_list",
+            cast=lambda v: _n_list(v, "truncation.n_list"),
+            required=True,
+            where="truncation",
         )
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError(f"n_list must be strictly increasing, got {n_list}")
         truncation = TruncationConfig(
             trial=trial,
             test=_getfield(sec, "test", default=trial, where="truncation"),
             n_list=n_list,
-            solver=_getfield(sec, "solver", default="qr", where="truncation"),
+            solver=_getfield(
+                sec, "solver", cast=_solver, default="qr", where="truncation"
+            ),
             tol=_getfield(sec, "tol", cast=float, default=1e-10, where="truncation"),
             solution_family=_getfield(
                 sec, "solution_family", default="min-norm", where="truncation"
             ),
         )
-        if truncation.solver not in ("qr", "gmres", "cg"):
-            raise ConfigError(f"unknown solver {truncation.solver!r}")
         if truncation.solution_family not in SOLUTION_FAMILIES:
             raise ConfigError(
                 f"unknown solution_family {truncation.solution_family!r}"
@@ -208,7 +222,11 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     output = OutputConfig(
         csv=_getfield(sec, "csv", required=True, where="output"),
         tracked=_getfield(
-            sec, "tracked", cast=_int_tuple, default=DEFAULT_TRACKED, where="output"
+            sec,
+            "tracked",
+            cast=lambda v: _index_tuple(v, "output.tracked"),
+            default=DEFAULT_TRACKED,
+            where="output",
         ),
         gnuplot=_getfield(
             sec,
@@ -408,17 +426,6 @@ def _gnuplot_script(csv_name: str, columns) -> str:
 # runners
 # ---------------------------------------------------------------------------
 
-def _slice_problem(base: TruncatedProblem, N: int) -> TruncatedProblem:
-    return TruncatedProblem(
-        N=N,
-        A_N=DenseMatrix(base.A_N.array[:N, :N]),
-        g_N=Coefficients(base.g_N.values[:N], origin=1, basis_tag=base.test),
-        trial=base.trial,
-        test=base.test,
-        operator=base.operator,
-    )
-
-
 def _truncation_records(cfg: ExperimentConfig):
     """Run the configured truncation sweep; yields (N, record) pairs."""
     pc, tc = cfg.problem, cfg.truncation
@@ -457,7 +464,7 @@ def _truncation_records(cfg: ExperimentConfig):
         for N in tc.n_list:
             if N > cap:
                 break
-            sol = solve_direct(_slice_problem(base, N), family=tc.solution_family)
+            sol = solve_direct(base.leading(N), family=tc.solution_family)
             rec = evaluate(op, datum, sol, trial, test, f_exact=f_exact, tracked=tracked)
             records.append(rec)
     else:
@@ -466,7 +473,7 @@ def _truncation_records(cfg: ExperimentConfig):
                 f"cg requires a self-adjoint positive operator; {pc.operator} is not"
             )
         if tc.solver == "gmres":
-            sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol, return_basis=True)
+            sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol)
         else:
             sols = solve_cg(op, datum, n_max)
             kb = krylov_basis(op, datum, max(len(sols), 1))
@@ -580,7 +587,7 @@ def _demo_bad_truncation(lines):
     base = compress(op, trial, test, n_max, datum)
     ok = True
     for N in range(1, n_max + 1):
-        smin = singular_values(_slice_problem(base, N).A_N)[-1]
+        smin = singular_values(base.leading(N).A_N)[-1]
         ok = ok and smin <= 1e-10
         lines.append(f"N={N:3d}  sigma_min={smin:.3e}  {'ok' if smin <= 1e-10 else 'FAIL'}")
     lines.append(
@@ -594,10 +601,10 @@ def _demo_pathological_family(lines):
     basis = canonical_basis()
     datum = Seq.zero()
     f_exact = Seq.zero()
+    base = compress(op, basis, basis, 40, datum)
     records = []
     for N in range(1, 41):
-        prob = compress(op, basis, basis, N, datum)
-        sol = solve_direct(prob, family="kernel-scaled")
+        sol = solve_direct(base.leading(N), family="kernel-scaled")
         records.append(
             evaluate(op, datum, sol, basis, basis, f_exact=f_exact)
         )
@@ -616,12 +623,12 @@ def _demo_shift_weak_residual(lines):
     op = _build_operator("right-shift")
     basis = canonical_basis()
     datum = Seq.zero()
+    base = compress(op, basis, basis, 100, datum)
     records = []
     res_exact = True
     comps_ok = True
     for N in range(1, 101):
-        prob = compress(op, basis, basis, N, datum)
-        sol = solve_direct(prob, family="kernel-unit")
+        sol = solve_direct(base.leading(N), family="kernel-unit")
         rec = evaluate(op, datum, sol, basis, basis, f_exact=Seq.zero())
         records.append(rec)
         res_exact = res_exact and rec.res_norm == 1.0
@@ -670,21 +677,16 @@ def _load_config(source: str) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     if args.n_list is not None:
         if cfg.truncation is None:
             raise ConfigError("--n-list applies to truncation runs only")
-        n_list = _int_tuple(args.n_list)
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError(f"--n-list must be strictly increasing, got {n_list}")
+        n_list = _n_list(args.n_list, "--n-list")
         cfg = replace(cfg, truncation=replace(cfg.truncation, n_list=n_list))
     if args.solver is not None:
         if cfg.truncation is None:
             raise ConfigError("--solver applies to truncation runs only")
-        if args.solver not in ("qr", "gmres", "cg"):
-            raise ConfigError(f"unknown solver {args.solver!r}")
-        cfg = replace(cfg, truncation=replace(cfg.truncation, solver=args.solver))
+        solver = _solver(args.solver)
+        cfg = replace(cfg, truncation=replace(cfg.truncation, solver=solver))
     if args.tol is not None:
         if cfg.truncation is None:
             raise ConfigError("--tol applies to truncation runs only")

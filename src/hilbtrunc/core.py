@@ -1,9 +1,9 @@
-"""Scalar/vector/matrix substrate shared by all other modules.
+"""Numerical substrate shared by all other modules.
 
-Complex coefficient vectors with a declared basis and index origin,
 Gauss-Legendre quadrature rules, dense minimum-norm least squares, and
-singular values.  Everything here is immutable after construction and
-safe to share across threads; the operations are pure functions.
+singular values, on plain numpy arrays.  Quadrature rules are immutable
+after construction and safe to share across threads; the operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -31,69 +31,6 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class Coefficients:
-    """A finite complex coefficient vector relative to a declared basis.
-
-    Parameters
-    ----------
-    values : array_like
-        The coefficients, in basis order.
-    origin : int
-        Index of the first entry (1 for N-indexed bases, -K for
-        Z-indexed ones).  Immutable after construction.
-    basis_tag : str
-        Opaque identifier of the basis the entries refer to.  Arithmetic
-        between vectors with different tags or origins is rejected.
-    """
-
-    values: np.ndarray
-    origin: int = 1
-    basis_tag: str = ""
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=complex).reshape(-1)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def norm(self) -> float:
-        """Euclidean norm; equals the ambient norm for orthonormal bases."""
-        return float(np.linalg.norm(self.values))
-
-    def component(self, index: int) -> complex:
-        """Entry at the absolute basis index, zero outside the stored range."""
-        k = index - self.origin
-        if 0 <= k < len(self.values):
-            return complex(self.values[k])
-        return 0.0
-
-    def _check_compatible(self, other: "Coefficients"):
-        if self.origin != other.origin or self.basis_tag != other.basis_tag:
-            raise SpaceMismatchError(
-                f"incompatible coefficient vectors: "
-                f"({self.basis_tag!r}, origin {self.origin}) vs "
-                f"({other.basis_tag!r}, origin {other.origin})"
-            )
-
-    def __add__(self, other: "Coefficients") -> "Coefficients":
-        self._check_compatible(other)
-        n = max(len(self), len(other))
-        out = np.zeros(n, dtype=complex)
-        out[: len(self)] += self.values
-        out[: len(other)] += other.values
-        return Coefficients(out, self.origin, self.basis_tag)
-
-    def __sub__(self, other: "Coefficients") -> "Coefficients":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "Coefficients":
-        return Coefficients(scalar * self.values, self.origin, self.basis_tag)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights of a quadrature rule on [a, b]."""
 
@@ -116,33 +53,6 @@ class QuadratureRule:
         return complex(np.sum(self.weights * np.asarray(fn(self.nodes))))
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Dense complex matrix with row-major entry semantics."""
-
-    array: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.array, dtype=complex, order="C")
-        if arr.ndim != 2:
-            raise ValueError("DenseMatrix requires a 2-D entry layout")
-        arr.flags.writeable = False
-        object.__setattr__(self, "array", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Row-major flat view of the entries."""
-        return self.array.reshape(-1)
-
-
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with `order` points, mapped affinely to [a, b].
 
@@ -162,23 +72,20 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(a + half * (x + 1.0), half * w, order)
 
 
-def qr_least_squares(A: DenseMatrix, b) -> Coefficients:
+def qr_least_squares(A: np.ndarray, b) -> np.ndarray:
     """Minimum-norm minimizer of ||A x - b|| via pivoted-QR least squares.
 
     For square nonsingular A this is the exact solution.  Rank decisions
     use RANK_RTOL relative to the largest singular value; in the
     rank-deficient case the minimum-norm solution is returned.
     """
-    bvals = b.values if isinstance(b, Coefficients) else np.asarray(b, dtype=complex)
-    bvals = bvals.reshape(-1)
-    if A.rows != len(bvals):
-        raise ValueError(f"dimension mismatch: A has {A.rows} rows, b has {len(bvals)}")
-    x, _, _, _ = scipy.linalg.lstsq(
-        A.array, bvals, cond=RANK_RTOL, lapack_driver="gelsy"
-    )
-    return Coefficients(x, origin=1, basis_tag="")
+    b = np.asarray(b).reshape(-1)
+    if A.shape[0] != len(b):
+        raise ValueError(f"dimension mismatch: A has {A.shape[0]} rows, b has {len(b)}")
+    x, _, _, _ = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")
+    return x
 
 
-def singular_values(A: DenseMatrix) -> np.ndarray:
+def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values of A in descending order."""
-    return np.linalg.svd(A.array, compute_uv=False)
+    return np.linalg.svd(A, compute_uv=False)

@@ -91,8 +91,6 @@ class SvdTriple:
     sigma: Callable[[int], float]
     right: Callable[[int], object]  # phi_n, the trial-side family
     left: Callable[[int], object]   # psi_n, the test-side family
-    right_complete: bool = True
-    left_complete: bool = True
 
 
 class BoundedOperator:
@@ -225,8 +223,6 @@ class WeightedRightShift(BoundedOperator):
             sigma=lambda n: float(self.law(np.array(n))),
             right=lambda n: Seq.basis_vector(n),
             left=lambda n: Seq.basis_vector(n + 1),
-            right_complete=True,
-            left_complete=False,
         )
 
 
@@ -348,73 +344,28 @@ class MultiplicationX(BoundedOperator):
     adjoint_apply = apply
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Constructor data for make_operator (CLI-friendly)."""
-
-    kind: str
-    interval: tuple | None = None
-    law: SequenceLaw | None = None
-
-
-def make_operator(spec: OperatorSpec) -> BoundedOperator:
-    """Build the operator described by `spec`, validating its parameters."""
-    kind = spec.kind
-    if kind == "volterra":
-        return Volterra()
-    if kind == "multiplication_x":
-        if spec.interval is None:
-            raise ValueError("multiplication_x requires an interval")
-        return MultiplicationX(spec.interval)
-    if kind == "right_shift":
-        return RightShift()
-    if kind == "weighted_right_shift":
-        if spec.law is None:
-            raise ValueError("weighted_right_shift requires a weight law")
-        return WeightedRightShift(spec.law)
-    if kind == "weighted_right_shift_Z":
-        if spec.law is None:
-            raise ValueError("weighted_right_shift_Z requires a weight law")
-        return WeightedRightShiftZ(spec.law)
-    if kind == "multiplication_seq":
-        if spec.law is None:
-            raise ValueError("multiplication_seq requires a multiplier law")
-        return MultiplicationSeq(spec.law)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def parse_operator(text: str) -> BoundedOperator:
     """Parse CLI operator strings.
 
     Grammar: volterra | mult-x:a,b | right-shift |
     weighted-right-shift:LAW | weighted-right-shift-z:LAW | mult-seq:LAW
-    where LAW is pow:c,p | geom:c,q | const:c.
+    where LAW is pow:c,p | pow1:c,p | geom:c,q | const:c.
     """
     head, _, rest = text.partition(":")
     if head == "volterra":
-        return make_operator(OperatorSpec("volterra"))
+        return Volterra()
     if head == "mult-x":
         a, b = (float(v) for v in rest.split(","))
-        return make_operator(OperatorSpec("multiplication_x", interval=(a, b)))
+        return MultiplicationX((a, b))
     if head == "right-shift":
-        return make_operator(OperatorSpec("right_shift"))
+        return RightShift()
     if head == "weighted-right-shift":
-        return make_operator(OperatorSpec("weighted_right_shift", law=parse_law(rest)))
+        return WeightedRightShift(parse_law(rest))
     if head == "weighted-right-shift-z":
-        return make_operator(OperatorSpec("weighted_right_shift_Z", law=parse_law(rest)))
+        return WeightedRightShiftZ(parse_law(rest))
     if head == "mult-seq":
-        return make_operator(OperatorSpec("multiplication_seq", law=parse_law(rest)))
+        return MultiplicationSeq(parse_law(rest))
     raise ValueError(f"unknown operator spec {text!r}")
-
-
-def apply(op: BoundedOperator, f):
-    """Apply the operator; exact closed forms on catalogued elements."""
-    return op.apply(f)
-
-
-def exact_svd(op: BoundedOperator) -> SvdTriple:
-    """Exact singular decomposition, when the operator kind has one."""
-    return op.exact_svd()
 
 
 def volterra_power_apply(n: int, f: Func) -> Func:

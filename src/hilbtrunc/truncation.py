@@ -11,19 +11,13 @@ positive operators), both formulated in ambient element arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    CapabilityError,
-    Coefficients,
-    DenseMatrix,
-    RANK_RTOL,
-    qr_least_squares,
-)
-from .bases import OrthonormalBasis, arnoldi
+from .core import CapabilityError, RANK_RTOL, qr_least_squares
+from .bases import OrthonormalBasis, krylov_basis
 from .elements import inner, lincomb
 from .operators import BoundedOperator
 
@@ -33,29 +27,40 @@ SOLUTION_FAMILIES = ("min-norm", "kernel-unit", "kernel-scaled")
 
 @dataclass(frozen=True)
 class TruncatedProblem:
-    """The pair (A_N, g_N) with its provenance."""
+    """The pair (A_N, g_N) with its provenance; entries are read-only."""
 
     N: int
-    A_N: DenseMatrix
-    g_N: Coefficients
+    A_N: np.ndarray
+    g_N: np.ndarray
     trial: str
     test: str
     operator: str
+
+    def leading(self, N: int) -> "TruncatedProblem":
+        """The truncation at size N <= self.N: the leading N x N block.
+
+        Entry (i, j) of a compression does not depend on its size, so
+        the slice equals compressing at N directly.
+        """
+        if not 1 <= N <= self.N:
+            raise ValueError(f"need 1 <= N <= {self.N}, got {N}")
+        return replace(self, N=N, A_N=self.A_N[:N, :N], g_N=self.g_N[:N])
 
 
 @dataclass
 class ApproxSolution:
     """An approximate solution of a truncated problem.
 
-    `f_N_coeffs` are coordinates relative to the trial family used by
-    the producing solver (for the iterative solvers, the Krylov frame).
+    `f_N_coeffs` is the coordinate array relative to the trial family
+    used by the producing solver (for the iterative solvers, the Krylov
+    frame).
     `eps_norm` is the finite-dimensional defect ||A_N f - g_N|| in the
     solver's own test frame.  `element` is an optional exact ambient
     representative (set by solve_cg, whose iterates carry an affine
     offset).
     """
 
-    f_N_coeffs: Coefficients
+    f_N_coeffs: np.ndarray
     eps_norm: float
     solver: str
     iterations: int
@@ -93,10 +98,12 @@ def compress(
     tests = test.elements(N)
     A = np.array([[inner(v, au) for au in applied] for v in tests])
     gvec = np.array([inner(v, g) for v in tests])
+    A.flags.writeable = False
+    gvec.flags.writeable = False
     return TruncatedProblem(
         N=N,
-        A_N=DenseMatrix(A),
-        g_N=Coefficients(gvec, origin=1, basis_tag=test.label),
+        A_N=A,
+        g_N=gvec,
         trial=trial.label,
         test=test.label,
         operator=op.label,
@@ -107,7 +114,7 @@ def lift(sol: ApproxSolution, trial: OrthonormalBasis):
     """Hat-lift: the ambient element whose first N trial coefficients are f^(N)."""
     if sol.element is not None:
         return sol.element
-    coeffs = sol.f_N_coeffs.values
+    coeffs = sol.f_N_coeffs
     return lincomb(coeffs, trial.elements(len(coeffs)))
 
 
@@ -138,15 +145,15 @@ def solve_direct(p: TruncatedProblem, family: str = "min-norm") -> ApproxSolutio
     """
     if family not in SOLUTION_FAMILIES:
         raise ValueError(f"unknown solution family {family!r}")
-    x = qr_least_squares(p.A_N, p.g_N).values
+    x = qr_least_squares(p.A_N, p.g_N)
     if family != "min-norm":
-        kernel = _kernel_vector(p.A_N.array)
+        kernel = _kernel_vector(p.A_N)
         if kernel is not None:
             scale = 1.0 if family == "kernel-unit" else float(p.N)
             x = x + scale * kernel
-    eps = float(np.linalg.norm(p.A_N.array @ x - p.g_N.values))
+    eps = float(np.linalg.norm(p.A_N @ x - p.g_N))
     return ApproxSolution(
-        f_N_coeffs=Coefficients(x, origin=1, basis_tag=p.trial),
+        f_N_coeffs=x,
         eps_norm=eps,
         solver="qr" if family == "min-norm" else f"qr[{family}]",
         iterations=0,
@@ -158,29 +165,31 @@ def solve_gmres(
     g,
     N_max: int,
     tol: float = 1e-10,
-    return_basis: bool = False,
 ):
     """Residual-minimizing Krylov iterates over K_n(A, g), n = 1..N_max.
 
-    Stops early once the residual norm reaches `tol` or the Krylov
-    space is exhausted (the returned list then ends at the last built
-    step).  Residual norms are exact: A x - g lies in the spanned
-    frame, so the Hessenberg least-squares value is the ambient norm.
+    Returns (solutions, basis), the basis being the Krylov frame the
+    coordinates refer to.  Stops early once the residual norm reaches
+    the absolute bound `tol` or the Krylov space is exhausted (the list
+    then ends at the last built step).  Residual norms are exact:
+    A x - g lies in the spanned frame, so the Hessenberg least-squares
+    value is the ambient norm.
     """
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("gmres needs a nonzero datum")
-    vectors, H, exhausted = arnoldi(op, g, N_max)
+    basis = krylov_basis(op, g, N_max + 1)
+    H = basis.hessenberg
     steps = H.shape[1]
     sols = []
     for n in range(1, steps + 1):
         rhs = np.zeros(n + 1, dtype=complex)
         rhs[0] = gnorm
-        y = qr_least_squares(DenseMatrix(H[: n + 1, :n]), rhs).values
+        y = qr_least_squares(H[: n + 1, :n], rhs)
         res = float(np.linalg.norm(H[: n + 1, :n] @ y - rhs))
         sols.append(
             ApproxSolution(
-                f_N_coeffs=Coefficients(y, origin=1, basis_tag=f"krylov[{op.label}]"),
+                f_N_coeffs=y,
                 eps_norm=res,
                 solver="gmres",
                 iterations=n,
@@ -188,20 +197,7 @@ def solve_gmres(
         )
         if res <= tol:
             break
-    if return_basis:
-        from .bases import KrylovBasis
-
-        basis = KrylovBasis(
-            label=f"krylov[{op.label}]",
-            space=op.space,
-            completeness="possibly-incomplete",
-            generator=lambda k: vectors[k - 1],
-            size=len(vectors),
-            hessenberg=H,
-            exhausted=exhausted,
-        )
-        return sols, basis
-    return sols
+    return sols, basis
 
 
 def solve_cg(
@@ -224,14 +220,13 @@ def solve_cg(
         )
     x = (0.0 * g) if f0 is None else f0
     r = g - op.apply(x)
-    tag = f"krylov[{op.label}]"
     sols = []
     rnorm0 = r.norm()
     floor = 1e-15 * max(g.norm(), 1.0)
     if rnorm0 <= floor:
         sols.append(
             ApproxSolution(
-                f_N_coeffs=Coefficients(np.zeros(0), origin=1, basis_tag=tag),
+                f_N_coeffs=np.zeros(0, dtype=complex),
                 eps_norm=0.0,
                 solver="cg",
                 iterations=0,
@@ -261,7 +256,7 @@ def solve_cg(
         )
         sols.append(
             ApproxSolution(
-                f_N_coeffs=Coefficients(coords, origin=1, basis_tag=tag),
+                f_N_coeffs=coords,
                 eps_norm=eps,
                 solver="cg",
                 iterations=n,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hilbtrunc.core import CapabilityError, DenseMatrix, gauss_legendre, singular_values
+from hilbtrunc.core import CapabilityError, gauss_legendre, singular_values
 from hilbtrunc.elements import Func, Seq, inner
 from hilbtrunc.operators import (
     MultiplicationSeq,
@@ -210,7 +210,7 @@ class TestSvdBases:
         expect = np.zeros(N, dtype=complex)
         expect[0] = 0.5 / triple.sigma(1)
         expect[2] = -0.25 / triple.sigma(3)
-        np.testing.assert_allclose(sol.f_N_coeffs.values, expect, atol=1e-12)
+        np.testing.assert_allclose(sol.f_N_coeffs, expect, atol=1e-12)
 
     def test_capability_absent(self):
         with pytest.raises(CapabilityError):
@@ -237,7 +237,7 @@ class TestAdversarialBasis:
                     for i in range(1, N + 1)
                 ]
             )
-            assert singular_values(DenseMatrix(A))[-1] <= 1e-10
+            assert singular_values(A)[-1] <= 1e-10
 
     def test_first_vector_orthogonal_to_image(self):
         op = Volterra()

@@ -1,10 +1,16 @@
 """Tests for the experiment runner: configs, presets, CSV output, demos."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 import scipy.special
 
+import hilbtrunc
 from hilbtrunc.core import ConfigError
 from hilbtrunc.cli import (
     DEMOS,
@@ -193,3 +199,74 @@ class TestConfigValueErrors:
             "n_max = 50\n[output]\ncsv = out.csv\n"
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_list", "a,b"),
+            ("n_list", "0,2"),
+            ("n_list", "-1,2"),
+            ("tracked", "0,1"),
+            ("tracked", "x"),
+            ("solver", "lsqr"),
+        ],
+    )
+    def test_bad_index_or_solver_exit_two(self, tmp_path, key, value):
+        fields = {"n_list": "2,4", "tracked": "1,2", "solver": "qr", key: value}
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+            f"[truncation]\ntrial = legendre\nn_list = {fields['n_list']}\n"
+            f"solver = {fields['solver']}\n"
+            f"[output]\ncsv = out.csv\ntracked = {fields['tracked']}\n"
+        )
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_text(cfg.read_text())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "override", [["--n-list", "a,b"], ["--n-list", "0,2"], ["--solver", "lsqr"]]
+    )
+    def test_bad_override_exit_two(self, tmp_path, override):
+        argv = ["run", "volterra-g1", *override, "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+
+    def test_divergent_solution_law_is_unsolvable_without_warnings(self, tmp_path):
+        """g_n / sigma_n = n^-2 / 0.9^n grows: the tail sum is inf, quietly."""
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(
+            "[noise]\nsigma_law = geom:1,0.9\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "n_max = 20\n[output]\ncsv = out.csv\n"
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["solvable"] == "no"
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports this checkout's hilbtrunc."""
+    env = dict(os.environ)
+    src = str(Path(hilbtrunc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoints:
+    def test_module_entry_point_warning_free(self):
+        proc = _fresh_python("-W", "error", "-m", "hilbtrunc.cli", "list-presets")
+        assert proc.returncode == 0, proc.stderr
+        assert "volterra-g1" in proc.stdout
+
+    def test_package_import_leaves_cli_unloaded(self):
+        proc = _fresh_python(
+            "-c",
+            "import sys, hilbtrunc; "
+            "print(sorted({'hilbtrunc.cli', 'configparser'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

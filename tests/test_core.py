@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hilbtrunc.core import (
-    Coefficients,
-    DenseMatrix,
-    SpaceMismatchError,
-    gauss_legendre,
-    qr_least_squares,
-    singular_values,
-)
+from hilbtrunc.core import gauss_legendre, qr_least_squares, singular_values
 
 
 class TestGaussLegendre:
@@ -69,14 +62,14 @@ class TestQrLeastSquares:
     def test_diagonal_inverse(self):
         """diag(1, 1/2, ..., 1/N) against all-ones gives (1, 2, ..., N)."""
         N = 7
-        A = DenseMatrix(np.diag([1.0 / n for n in range(1, N + 1)]))
-        x = qr_least_squares(A, Coefficients(np.ones(N)))
-        np.testing.assert_allclose(x.values, np.arange(1, N + 1), rtol=1e-13)
+        A = np.diag([1.0 / n for n in range(1, N + 1)])
+        x = qr_least_squares(A, np.ones(N))
+        np.testing.assert_allclose(x, np.arange(1, N + 1), rtol=1e-13)
 
     def test_zero_matrix_minimum_norm(self):
-        A = DenseMatrix(np.zeros((4, 4)))
-        x = qr_least_squares(A, Coefficients(np.zeros(4)))
-        np.testing.assert_allclose(x.values, 0.0, atol=1e-15)
+        A = np.zeros((4, 4))
+        x = qr_least_squares(A, np.zeros(4))
+        np.testing.assert_allclose(x, 0.0, atol=1e-15)
 
     def test_shift_matrix_rank_deficient(self):
         """Sub-diagonal shift block against e_1: columns span {e_2, e_3},
@@ -84,9 +77,9 @@ class TestQrLeastSquares:
         minimizer is 0 (hand enumeration of the 3x3 normal equations)."""
         A = np.zeros((3, 3))
         A[1, 0] = A[2, 1] = 1.0
-        x = qr_least_squares(DenseMatrix(A), Coefficients(np.array([1.0, 0, 0])))
-        np.testing.assert_allclose(x.values, 0.0, atol=1e-14)
-        res = np.linalg.norm(A @ x.values - np.array([1.0, 0, 0]))
+        x = qr_least_squares(A, np.array([1.0, 0, 0]))
+        np.testing.assert_allclose(x, 0.0, atol=1e-14)
+        res = np.linalg.norm(A @ x - np.array([1.0, 0, 0]))
         assert abs(res - 1.0) < 1e-14
 
     def test_residual_optimality_random(self):
@@ -99,21 +92,21 @@ class TestQrLeastSquares:
             if trial % 3 == 0 and min(m, n) > 1:  # force rank deficiency
                 A[:, -1] = A[:, 0]
             b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            x = qr_least_squares(DenseMatrix(A), Coefficients(b)).values
+            x = qr_least_squares(A, b)
             best = np.linalg.norm(A @ x - b)
             delta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             delta *= 1e-3 / np.linalg.norm(delta)
             assert np.linalg.norm(A @ (x + delta) - b) >= best - 1e-12
 
     def test_dimension_mismatch(self):
-        A = DenseMatrix(np.eye(3))
+        A = np.eye(3)
         with pytest.raises(ValueError):
-            qr_least_squares(A, Coefficients(np.ones(4)))
+            qr_least_squares(A, np.ones(4))
 
 
 class TestSingularValues:
     def test_diagonal(self):
-        sv = singular_values(DenseMatrix(np.diag([3.0, 1.0, 2.0])))
+        sv = singular_values(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(sv, [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_weighted_shift_block_is_singular(self):
@@ -124,14 +117,14 @@ class TestSingularValues:
         A = np.zeros((N, N))
         for i, s in enumerate(sigma):
             A[i + 1, i] = s
-        sv = singular_values(DenseMatrix(A))
+        sv = singular_values(A)
         np.testing.assert_allclose(sv, np.concatenate([sigma, [0.0]]), atol=1e-14)
 
     def test_two_by_two_closed_form(self):
         """((1,1),(0,1)) has singular values (phi, 1/phi): the Gram matrix
         ((1,1),(1,2)) has eigenvalues (3 +- sqrt(5))/2."""
         phi = (1.0 + math.sqrt(5.0)) / 2.0
-        sv = singular_values(DenseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])))
+        sv = singular_values(np.array([[1.0, 1.0], [0.0, 1.0]]))
         np.testing.assert_allclose(sv, [phi, 1.0 / phi], rtol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 17, 50])
@@ -140,43 +133,6 @@ class TestSingularValues:
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         W, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        sv = singular_values(DenseMatrix(A))
-        sv2 = singular_values(DenseMatrix(U @ A @ W))
+        sv = singular_values(A)
+        sv2 = singular_values(U @ A @ W)
         np.testing.assert_allclose(sv, sv2, atol=1e-9 * sv[0])
-
-
-class TestCoefficients:
-    def test_norm_is_euclidean(self):
-        c = Coefficients(np.array([3.0, 4.0j]))
-        assert abs(c.norm - 5.0) < 1e-15
-
-    def test_component_lookup_respects_origin(self):
-        c = Coefficients(np.array([1.0, 2.0]), origin=-1)
-        assert c.component(-1) == 1.0
-        assert c.component(0) == 2.0
-        assert c.component(5) == 0.0
-
-    def test_arithmetic_rejects_mismatched_frames(self):
-        a = Coefficients(np.ones(2), origin=1, basis_tag="x")
-        b = Coefficients(np.ones(2), origin=2, basis_tag="x")
-        c = Coefficients(np.ones(2), origin=1, basis_tag="y")
-        with pytest.raises(SpaceMismatchError):
-            a + b
-        with pytest.raises(SpaceMismatchError):
-            a + c
-
-    def test_values_immutable(self):
-        c = Coefficients(np.ones(3))
-        with pytest.raises(ValueError):
-            c.values[0] = 2.0
-
-
-class TestDenseMatrix:
-    def test_shape_and_entries(self):
-        m = DenseMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert (m.rows, m.cols) == (2, 2)
-        np.testing.assert_allclose(m.entries.real, [1.0, 2.0, 3.0, 4.0])
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            DenseMatrix(np.ones(3))

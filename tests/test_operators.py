@@ -10,14 +10,12 @@ from hilbtrunc.elements import Func, Seq, inner
 from hilbtrunc.operators import (
     MultiplicationSeq,
     MultiplicationX,
-    OperatorSpec,
     RightShift,
     Volterra,
     WeightedRightShift,
     WeightedRightShiftZ,
     constant_law,
     geometric_law,
-    make_operator,
     parse_law,
     parse_operator,
     power_law,
@@ -41,14 +39,11 @@ def random_seq(rng, domain="nat", width=12):
 
 
 class TestConstruction:
-    def test_make_operator_kinds(self):
-        assert make_operator(OperatorSpec("volterra")).kind == "volterra"
-        assert (
-            make_operator(OperatorSpec("multiplication_x", interval=(1, 2))).op_norm
-            == 2.0
-        )
-        assert make_operator(OperatorSpec("right_shift")).op_norm == 1.0
-        w = make_operator(OperatorSpec("weighted_right_shift", law=power_law(1, 1)))
+    def test_constructor_kinds(self):
+        assert Volterra().kind == "volterra"
+        assert MultiplicationX((1, 2)).op_norm == 2.0
+        assert RightShift().op_norm == 1.0
+        w = WeightedRightShift(power_law(1, 1))
         assert w.compact and w.op_norm == 1.0
 
     def test_parse_operator_strings(self):
