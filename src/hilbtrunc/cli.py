@@ -353,10 +353,9 @@ def parse_element(text: str, op: BoundedOperator):
         if not seq_space:
             raise ConfigError("basis-e datum needs a sequence-space operator")
         try:
-            k = int(rest)
+            return Seq.basis_vector(int(rest), op.space[1])
         except ValueError as exc:
-            raise ConfigError(f"bad basis-e spec {text!r}") from exc
-        return Seq.basis_vector(k, op.space[1])
+            raise ConfigError(f"bad basis-e spec {text!r}: {exc}") from exc
     if head == "func":
         if seq_space:
             raise ConfigError("func datum needs a function-space operator")

@@ -3,12 +3,14 @@
 Gauss-Legendre quadrature rules, dense minimum-norm least squares, and
 singular values, on plain numpy arrays.  Quadrature rules are immutable
 after construction and safe to share across threads; the operations are
-pure functions.
+pure functions.  The reference rules on [-1, 1] are memoized per order in
+a bounded cache of read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -48,9 +50,14 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def integrate(self, fn) -> complex:
-        """Apply the rule to a callable vectorized over the nodes."""
-        return complex(np.sum(self.weights * np.asarray(fn(self.nodes))))
+
+@lru_cache(maxsize=64)
+def _reference_rule(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
@@ -67,7 +74,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _reference_rule(order)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * w, order)
 

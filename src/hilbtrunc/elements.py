@@ -9,25 +9,28 @@ Two concrete representations are used throughout:
   coefficients of the L2-normalized shifted Legendre polynomials plus a
   sparse combination of oscillatory terms x^m e^{i w x} (w != 0).  The
   class is closed under the model operators (integration from a,
-  multiplication by x) and all inner products between catalogued parts
-  have closed forms, so the experiment paths run without discretisation
-  error.  Mixed Legendre x oscillatory products of high degree fall back
-  to automatically-sized Gauss-Legendre quadrature.
+  multiplication by x).  Legendre x Legendre and oscillatory x
+  oscillatory inner products have closed forms.  The Legendre x
+  oscillatory moments come from Gauss-Legendre quadrature sized to be
+  exact to roundoff: each is computed once, in a memoized block of
+  consecutive degrees, so every caller sees the same value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import SpaceMismatchError, gauss_legendre
 
-# Legendre degree up to which mixed Legendre/oscillatory inner products
-# use the exact monomial expansion; beyond it the expansion coefficients
-# overwhelm float64 and quadrature is more accurate.
-_LEG_EXACT_DEGREE = 6
+# Legendre x oscillatory moments are memoized in blocks of this many
+# consecutive degrees; the bounded memos hold read-only arrays.
+_BLOCK = 32
+_MOMENT_MEMO = 1 << 15
+_TABLE_MEMO = 64
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -96,42 +99,13 @@ def integrate_leg01(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-_monomial_cache: dict = {}
-
-
 def monomial_leg(interval, m: int) -> np.ndarray:
     """Legendre coefficients of x^m on `interval` (exact and stable)."""
-    key = (interval, m)
-    if key not in _monomial_cache:
-        a, b = interval
-        if m == 0:
-            vec = np.array([math.sqrt(b - a)], dtype=complex)
-        else:
-            vec = mult_x_leg(interval, monomial_leg(interval, m - 1))
-        vec.flags.writeable = False
-        _monomial_cache[key] = vec
-    return _monomial_cache[key]
-
-
-_leg_monomial_cache: dict = {}
-
-
-def _leg_monomial_coeffs(interval, n: int) -> np.ndarray:
-    """Monomial coefficients of the degree-n normalized Legendre polynomial.
-
-    Only trusted for small n (the conversion condition grows like 4^n).
-    """
-    key = (interval, n)
-    if key not in _leg_monomial_cache:
-        a, b = interval
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        p_t = np.polynomial.Polynomial(np.polynomial.legendre.leg2poly(e))
-        t_of_x = np.polynomial.Polynomial([-(a + b) / (b - a), 2.0 / (b - a)])
-        p_x = p_t(t_of_x)
-        coeffs = p_x.coef * math.sqrt((2 * n + 1) / (b - a))
-        _leg_monomial_cache[key] = coeffs
-    return _leg_monomial_cache[key]
+    a, b = interval
+    vec = np.array([math.sqrt(b - a)], dtype=complex)
+    for _ in range(m):
+        vec = mult_x_leg(interval, vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +123,14 @@ def iosc(interval, m: int, w: float) -> complex:
         total = 0.0 + 0.0j
         term_pow = 1.0 + 0.0j
         for k in range(0, 80):
-            inc = term_pow * (b ** (m + k + 1) - a ** (m + k + 1)) / (m + k + 1)
-            total += inc
-            if abs(inc) < 1e-18 * (1.0 + abs(total)):
+            total += term_pow * (b ** (m + k + 1) - a ** (m + k + 1)) / (m + k + 1)
+            # stop on the term's magnitude bound, relative to big^(m+1):
+            # the term itself vanishes for odd m + k on symmetric intervals
+            if abs(term_pow) * big ** k < 1e-17:
                 break
             term_pow *= 1j * w / (k + 1)
         return total
-    if m >= 10 and m > 3.0 * abs(w) * (b - a):
+    if m > 3.0 * abs(w) * (b - a):
         # recursion would amplify roundoff; integrate numerically instead
         order = 48 + m // 2 + int(0.5 * abs(w) * (b - a))
         rule = gauss_legendre(order, a, b)
@@ -180,26 +155,47 @@ def osc_antiderivative(m: int, w: float):
     return c
 
 
-_leg_osc_cache: dict = {}
+@lru_cache(maxsize=_TABLE_MEMO)
+def _reference_legendre(order: int, block: int) -> np.ndarray:
+    """The block's orthonormal Legendre rows on [-1, 1] at the order's nodes;
+    times sqrt(2 / (b - a)) they are the rows on [a, b] at the mapped nodes."""
+    top = _BLOCK * (block + 1)
+    nodes = gauss_legendre(order, -1.0, 1.0).nodes
+    out = legendre_values((-1.0, 1.0), top - 1, nodes)[top - _BLOCK :]
+    out.flags.writeable = False
+    return out
 
 
-def leg_osc_integral(interval, n: int, m: int, w: float) -> complex:
-    """Integral of L_n(x) * x^m e^{iwx} over the interval (L_n orthonormal)."""
-    key = (interval, n, m, w)
-    if key in _leg_osc_cache:
-        return _leg_osc_cache[key]
+@lru_cache(maxsize=_MOMENT_MEMO)
+def _moment_block(interval, block: int, m: int, w: float) -> np.ndarray:
+    """Integrals of L_k(x) x^m e^{iwx} for k in block * _BLOCK + [0, _BLOCK).
+
+    The rule order depends only on the block, m and w, rounded up to a
+    power of two so that a few rules and Legendre tables serve every
+    frequency and interval.
+    """
     a, b = interval
-    if n <= _LEG_EXACT_DEGREE:
-        mono = _leg_monomial_coeffs(interval, n)
-        val = sum(ck * iosc(interval, m + k, w) for k, ck in enumerate(mono) if ck)
-    else:
-        order = 64 + (n + m) // 2 + int(0.5 * abs(w) * (b - a))
-        rule = gauss_legendre(order, a, b)
-        lvals = legendre_values(interval, n, rule.nodes)[n]
-        vals = lvals * rule.nodes ** m * np.exp(1j * w * rule.nodes)
-        val = complex(np.sum(rule.weights * vals))
-    _leg_osc_cache[key] = val
-    return val
+    need = 64 + (_BLOCK * (block + 1) + m) // 2 + int(0.5 * abs(w) * (b - a))
+    order = 1 << (need - 1).bit_length()
+    rule = gauss_legendre(order, a, b)
+    vals = rule.weights * rule.nodes ** m * np.exp(1j * w * rule.nodes)
+    out = math.sqrt(2.0 / (b - a)) * (_reference_legendre(order, block) @ vals)
+    out.flags.writeable = False
+    return out
+
+
+def leg_osc_integral(interval, n: int, m: int, w: float) -> np.ndarray:
+    """Integrals of L_k(x) * x^m e^{iwx} over the interval for k = 0..n.
+
+    L_k is orthonormal.  The result is read-only, and entry k does not
+    depend on n.
+    """
+    if n < _BLOCK:
+        return _moment_block(interval, 0, m, w)[: n + 1]
+    blocks = [_moment_block(interval, blk, m, w) for blk in range(n // _BLOCK + 1)]
+    out = np.concatenate(blocks)[: n + 1]
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +301,15 @@ class Func:
         if nmin:
             total += np.vdot(self.leg[:nmin], other.leg[:nmin])
         for (m2, w2), c2 in other.osc.items():
-            if c2 == 0:
-                continue
-            for n, c1 in enumerate(self.leg):
-                if c1 != 0:
-                    total += np.conj(c1) * c2 * leg_osc_integral(
-                        self.interval, n, m2, w2
-                    )
+            if c2 != 0 and len(self.leg):
+                moments = leg_osc_integral(self.interval, len(self.leg) - 1, m2, w2)
+                total += c2 * np.vdot(self.leg, moments)
         for (m1, w1), c1 in self.osc.items():
             if c1 == 0:
                 continue
-            for n, c2 in enumerate(other.leg):
-                if c2 != 0:
-                    total += np.conj(
-                        c1 * leg_osc_integral(self.interval, n, m1, w1)
-                    ) * c2
+            if len(other.leg):
+                moments = leg_osc_integral(self.interval, len(other.leg) - 1, m1, w1)
+                total += np.conj(c1) * np.vdot(moments, other.leg)
             for (m2, w2), c2 in other.osc.items():
                 if c2 != 0:
                     total += np.conj(c1) * c2 * iosc(

@@ -25,9 +25,12 @@ from .operators import BoundedOperator
 SOLUTION_FAMILIES = ("min-norm", "kernel-unit", "kernel-scaled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedProblem:
-    """The pair (A_N, g_N) with its provenance; entries are read-only."""
+    """The pair (A_N, g_N) with its provenance; entries are read-only.
+
+    Problems compare and hash by identity.
+    """
 
     N: int
     A_N: np.ndarray

@@ -192,6 +192,19 @@ class TestConfigValueErrors:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("key", ["datum", "exact_solution"])
+    def test_basis_vector_below_one_exit_two(self, tmp_path, key):
+        """l2(N) has no index 0: basis-e:0 is a configuration error."""
+        values = {"datum": "basis-e:1", "exact_solution": "basis-e:1", key: "basis-e:0"}
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\noperator = right-shift\n"
+            f"datum = {values['datum']}\nexact_solution = {values['exact_solution']}\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 2,4\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
     def test_non_summable_noise_exit_two(self, tmp_path):
         cfg = tmp_path / "n.ini"
         cfg.write_text(

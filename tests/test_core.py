@@ -18,13 +18,13 @@ class TestGaussLegendre:
     def test_linear_integrand(self):
         """An 8-point rule is exact for degree <= 15, so for x it is exact."""
         rule = gauss_legendre(8, 0.0, 1.0)
-        assert abs(rule.integrate(lambda x: x) - 0.5) < 1e-14
+        assert abs(np.sum(rule.weights * rule.nodes) - 0.5) < 1e-14
 
     def test_cosine_squared(self):
         """integral of cos(pi x / 2)^2 over [0,1] is 1/2 by the closed-form
         antiderivative (x + sin(pi x)/pi)/2."""
         rule = gauss_legendre(32, 0.0, 1.0)
-        val = rule.integrate(lambda x: np.cos(np.pi * x / 2) ** 2)
+        val = np.sum(rule.weights * np.cos(np.pi * rule.nodes / 2) ** 2)
         assert abs(val - 0.5) < 1e-12
 
     @pytest.mark.parametrize("order", [1, 2, 5, 16, 40])
@@ -46,8 +46,20 @@ class TestGaussLegendre:
             coeffs = rng.standard_normal(deg + 1)
             poly = np.polynomial.Polynomial(coeffs)
             exact = poly.integ()(b) - poly.integ()(a)
-            approx = rule.integrate(poly)
+            approx = np.sum(rule.weights * poly(rule.nodes))
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("order", [1, 7, 64])
+    def test_memoized_rule_is_the_mapped_reference_rule(self, order):
+        """Repeated calls map the same reference rule, bit for bit."""
+        x, w = np.polynomial.legendre.leggauss(order)
+        a, b = 0.75, 2.0
+        for _ in range(2):
+            rule = gauss_legendre(order, a, b)
+            assert np.array_equal(rule.nodes, a + 0.5 * (b - a) * (x + 1.0))
+            assert np.array_equal(rule.weights, 0.5 * (b - a) * w)
+            with pytest.raises(ValueError):
+                rule.nodes[0] = 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

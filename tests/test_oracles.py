@@ -1,0 +1,163 @@
+"""High-precision oracles for the oscillatory integrals and moments.
+
+The oracle integrates x^p e^{iwx} by its power series in (iw), summed in
+mpmath at a working precision far above the cancellation the series
+suffers, and expands the orthonormal shifted Legendre polynomials into
+monomials in the same precision.  Neither shares a branch with the
+library's closed forms, recursion or quadrature.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from hilbtrunc.bases import fourier_basis, legendre_basis
+from hilbtrunc import elements
+from hilbtrunc.diagnostics import evaluate
+from hilbtrunc.elements import Func, _moment_block, iosc, leg_osc_integral
+from hilbtrunc.operators import MultiplicationX
+from hilbtrunc.truncation import compress, solve_direct
+
+
+def osc_moments(interval, w, pmax, dps):
+    """[integral_a^b x^p e^{iwx} dx for p = 0..pmax] as mpmath numbers."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        big = max(abs(a), abs(b))
+        coef = [mp.mpf(1)]
+        while len(coef) <= abs(w) * big or (
+            abs(coef[-1]) * big ** (pmax + len(coef)) > mp.mpf(10) ** (5 - dps)
+        ):
+            coef.append(coef[-1] * mp.mpc(0, w) / len(coef))
+        # mono[q] = integral_a^b x^q dx
+        mono = [(b ** (q + 1) - a ** (q + 1)) / (q + 1) for q in range(pmax + len(coef))]
+        return [mp.fdot(coef, mono[p:]) for p in range(pmax + 1)]
+
+
+def legendre_monomials(interval, n, dps):
+    """Monomial coefficients in x of the orthonormal shifted Legendre L_n."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        prev, cur = [mp.mpf(0)], [mp.mpf(1)]  # P_{k-1}, P_k in t
+        for k in range(n):
+            nxt = [mp.mpf(0)] * (k + 2)
+            for j, c in enumerate(cur):
+                nxt[j + 1] += (2 * k + 1) * c / (k + 1)
+            for j, c in enumerate(prev):
+                nxt[j] -= k * c / (k + 1)
+            prev, cur = cur, nxt
+        alpha, beta = 2 / (b - a), -(a + b) / (b - a)  # t = alpha x + beta
+        out = [mp.mpf(0)] * (n + 1)
+        for j, c in enumerate(cur):
+            for i in range(j + 1):
+                out[i] += c * mp.binomial(j, i) * alpha ** i * beta ** (j - i)
+        scale = mp.sqrt((2 * n + 1) / (b - a))
+        return [c * scale for c in out]
+
+
+def monomial_norm(interval, m):
+    """||x^m|| in L2(interval)."""
+    a, b = interval
+    return math.sqrt((b ** (2 * m + 1) - a ** (2 * m + 1)) / (2 * m + 1))
+
+
+IOSC_INTERVALS = [(0.0, 1.0), (1.0, 2.0), (0.5, 2.25), (-1.0, 1.0)]
+IOSC_FREQS = [0.0, 0.1, 0.3, 0.49, 0.6, 1.0, 3.0, 2 * math.pi, 14 * math.pi, -30.0]
+
+
+def test_series_oracle_matches_adaptive_quadrature():
+    """The series oracle against mpmath's own adaptive quadrature."""
+    for interval, p, w in [((0.5, 2.25), 9, -30.0), ((-1.0, 1.0), 1, 0.49)]:
+        with mp.workdps(30):
+            ref = mp.quad(
+                lambda x: x ** p * mp.expj(w * x),
+                mp.linspace(interval[0], interval[1], 9),
+            )
+            assert abs(osc_moments(interval, w, p, 60)[p] - ref) < 1e-25
+
+
+@pytest.mark.parametrize("w", IOSC_FREQS)
+@pytest.mark.parametrize("interval", IOSC_INTERVALS)
+def test_iosc_against_oracle(interval, w):
+    """Every branch (zero frequency, small-phase series, quadrature,
+    recursion) for m = 0..15, relative to sqrt(b-a) ||x^m||."""
+    ref = osc_moments(interval, w, 15, 60)
+    root = math.sqrt(interval[1] - interval[0])
+    for m in range(16):
+        err = abs(complex(ref[m]) - iosc(interval, m, w))
+        assert err <= 1e-10 * root * monomial_norm(interval, m), (m, err)
+
+
+def test_iosc_odd_moment_on_symmetric_interval():
+    """integral_{-1}^{1} x e^{iwx} = 2i (sin w - w cos w) / w^2; the
+    small-phase series must not stop at its first vanishing term."""
+    w = 0.49
+    exact = 2j * (math.sin(w) - w * math.cos(w)) / w ** 2
+    assert abs(iosc((-1.0, 1.0), 1, w) - exact) < 1e-15
+
+
+LEG_DEGREES = list(range(9)) + [15, 40]
+
+
+@pytest.mark.parametrize("w", [0.05, 1.0, 2 * math.pi, 14 * math.pi, -30.0])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 2.0), (0.5, 2.25)])
+def test_leg_osc_integral_against_oracle(interval, w):
+    """Moments of degrees 0..8, 15 and 40 (both sides of a block
+    boundary), relative to ||x^m||."""
+    dps = 100
+    mono = {n: legendre_monomials(interval, n, dps) for n in LEG_DEGREES}
+    moments = osc_moments(interval, w, 9 + max(LEG_DEGREES), dps)
+    for m in (0, 1, 3, 9):
+        got = leg_osc_integral(interval, max(LEG_DEGREES), m, w)
+        for n in LEG_DEGREES:
+            with mp.workdps(dps):
+                ref = mp.fsum(c * moments[m + j] for j, c in enumerate(mono[n]))
+            err = abs(complex(ref) - got[n])
+            assert err <= 1e-12 * monomial_norm(interval, m), (n, m, err)
+
+
+@pytest.mark.parametrize("m,w", [(0, 14 * math.pi), (3, -2.5)])
+def test_moment_does_not_depend_on_requested_degree(m, w):
+    """Each moment has one value, whatever maximum degree is asked for
+    and whether or not the memo already holds it."""
+    interval = (0.75, 2.0)
+    _moment_block.cache_clear()
+    full = leg_osc_integral(interval, 70, m, w).copy()
+    assert full.shape == (71,)
+    for k in (0, 5, 31, 32, 40):
+        _moment_block.cache_clear()
+        part = leg_osc_integral(interval, k, m, w)
+        assert part.shape == (k + 1,)
+        assert np.array_equal(part, full[: k + 1])
+
+
+def test_memos_are_bounded():
+    """The memos are bounded lru_caches; no module-level dict grows for
+    the life of the process."""
+    for memo in (_moment_block, elements._reference_legendre):
+        assert memo.cache_info().maxsize is not None
+    assert not [
+        name for name, value in vars(elements).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    ]
+
+
+def test_moments_read_only():
+    for n in (3, 40):
+        with pytest.raises(ValueError):
+            leg_osc_integral((0.0, 1.0), n, 1, 2.0)[0] = 0.0
+
+
+def test_legendre_trial_fourier_test_residual():
+    """mult-x on [0.75, 2] with a cubic datum, Legendre trial and Fourier
+    test: A_N and g_N see the same moments, so the N = 28 residual sits
+    at roundoff."""
+    interval = (0.75, 2.0)
+    op = MultiplicationX(interval)
+    g = Func.from_poly(interval, [0.5, -1.25, 0.75, 0.5])
+    trial, test = legendre_basis(interval), fourier_basis(interval)
+    p = compress(op, trial, test, 28, g)
+    rec = evaluate(op, g, solve_direct(p), trial, test)
+    assert rec.res_norm <= 1e-11

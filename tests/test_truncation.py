@@ -109,6 +109,13 @@ class TestCompress:
                 direct.trial, direct.test, direct.operator
             )
 
+    def test_problems_compare_and_hash_by_identity(self):
+        basis = canonical_basis()
+        p = compress(RightShift(), basis, basis, 4, Seq.basis_vector(1))
+        q = p.leading(4)
+        assert p == p and p != q and q != p
+        assert len({p, q, p}) == 2
+
     @pytest.mark.parametrize("N", [0, 5])
     def test_leading_rejects_sizes_outside_the_compression(self, N):
         basis = canonical_basis()
