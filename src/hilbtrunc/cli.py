@@ -387,7 +387,8 @@ def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
     if name == "adversarial":
         if trial is None:
             raise ConfigError("adversarial works as a test basis only")
-        return adversarial_test_basis(op, trial, n_max, horizon=4 * n_max)
+        n = min(n_max, trial.size or n_max)
+        return adversarial_test_basis(op, trial, n, horizon=4 * n)
     raise ConfigError(f"unknown basis {name!r}")
 
 
@@ -445,6 +446,8 @@ def _truncation_records(cfg: ExperimentConfig):
         "solution_family": tc.solution_family,
         "krylov_convention": KRYLOV_CONVENTION,
     }
+    if (tc.solver != "qr" or "krylov" in (tc.trial, tc.test)) and datum.norm() == 0:
+        raise ConfigError("krylov bases and solvers need a nonzero datum")
     if tc.solver == "qr":
         if tc.trial == "svd" or tc.test == "svd":
             if tc.trial != tc.test:
@@ -466,24 +469,19 @@ def _truncation_records(cfg: ExperimentConfig):
             sol = solve_direct(base.leading(N), family=tc.solution_family)
             rec = evaluate(op, datum, sol, trial, test, f_exact=f_exact, tracked=tracked)
             records.append(rec)
+        return meta, records
+    if tc.solver == "gmres":
+        sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol)
     else:
-        if tc.solver == "cg" and not (op.self_adjoint and op.positive):
-            raise CapabilityError(
-                f"cg requires a self-adjoint positive operator; {pc.operator} is not"
-            )
-        if tc.solver == "gmres":
-            sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol)
-        else:
-            sols = solve_cg(op, datum, n_max)
-            kb = krylov_basis(op, datum, max(len(sols), 1))
-        meta["trial"] = meta["test"] = kb.label
-        wanted = set(tc.n_list)
-        for i, sol in enumerate(sols):
-            if sol.iterations in wanted or i == len(sols) - 1:
-                rec = evaluate(
-                    op, datum, sol, kb, kb, f_exact=f_exact, tracked=tracked
-                )
-                records.append(rec)
+        sols, kb = solve_cg(op, datum, n_max)
+        if kb is None:  # the zero iterate already meets the stopping floor
+            raise ConfigError("cg needs a datum above roundoff (||g|| > 1e-15)")
+    meta["trial"] = meta["test"] = kb.label
+    wanted = set(tc.n_list)
+    for i, sol in enumerate(sols):
+        if sol.iterations in wanted or i == len(sols) - 1:
+            rec = evaluate(op, datum, sol, kb, kb, f_exact=f_exact, tracked=tracked)
+            records.append(rec)
     return meta, records
 
 

@@ -20,7 +20,7 @@ import scipy.special
 
 from .bases import OrthonormalBasis, svd_bases
 from .elements import inner, lincomb
-from .operators import BoundedOperator, SequenceLaw
+from .operators import BoundedOperator, SequenceLaw, power_law, shifted_power_law
 from .truncation import ApproxSolution, compress, lift, solve_direct
 
 #: Norm level below which a series counts as strongly vanished.
@@ -179,15 +179,6 @@ def classify(series: Sequence[ConvergenceRecord], which: str) -> Classification:
 # spectral noise model
 # ---------------------------------------------------------------------------
 
-def _law_params(law: SequenceLaw):
-    head, _, rest = law.name.partition(":")
-    try:
-        parts = tuple(float(v) for v in rest.split(",")) if rest else ()
-    except ValueError:
-        return None, ()
-    return head, parts
-
-
 def law_tail_sq(law: SequenceLaw, N: int) -> float:
     """Exact-or-bounded tail sum_{n > N} law(n)^2.
 
@@ -196,24 +187,19 @@ def law_tail_sq(law: SequenceLaw, N: int) -> float:
     integral-comparison bound certifies the remainder below 1e-10
     relative; non-summable tails return +inf.
     """
-    head, params = _law_params(law)
-    if head == "pow":
-        c, p = params
+    if law.kind in ("pow", "pow1"):
+        c, p = law.params
         if 2 * p <= 1:
             return math.inf
-        return c * c * float(scipy.special.zeta(2 * p, N + 1))
-    if head == "pow1":
-        c, p = params
-        if 2 * p <= 1:
-            return math.inf
-        return c * c * float(scipy.special.zeta(2 * p, N + 2))
-    if head == "geom":
-        c, q = params
+        first = N + 1 if law.kind == "pow" else N + 2  # pow1 is pow shifted by one
+        return c * c * float(scipy.special.zeta(2 * p, first))
+    if law.kind == "geom":
+        c, q = law.params
         if abs(q) >= 1:
             return math.inf
         return c * c * q ** (2 * (N + 1)) / (1 - q * q)
-    if head == "const":
-        (c,) = params
+    if law.kind == "const":
+        (c,) = law.params
         return math.inf if c != 0 else 0.0
     # generic: adaptive summation with an integral remainder bound,
     # assuming eventual monotone decrease
@@ -237,15 +223,11 @@ def law_tail_sq(law: SequenceLaw, N: int) -> float:
 
 
 def ratio_law(num: SequenceLaw, den: SequenceLaw) -> SequenceLaw:
-    """The law n -> num(n)/den(n), keeping a closed form for power pairs."""
-    h1, p1 = _law_params(num)
-    h2, p2 = _law_params(den)
-    if h1 == h2 == "pow":
-        return SequenceLaw(
-            f"pow:{p1[0] / p2[0]:g},{p1[1] - p2[1]:g}",
-            lambda n: (p1[0] / p2[0])
-            * np.asarray(n, dtype=float) ** (-(p1[1] - p2[1])),
-        )
+    """The law n -> num(n)/den(n), keeping a closed form for pow and pow1 pairs."""
+    if num.kind == den.kind and num.kind in ("pow", "pow1"):
+        (c1, p1), (c2, p2) = num.params, den.params
+        make = power_law if num.kind == "pow" else shifted_power_law
+        return make(c1 / c2, p1 - p2)
     return SequenceLaw(
         f"ratio({num.name},{den.name})",
         lambda n: np.asarray(num(n)) / np.asarray(den(n)),
@@ -296,12 +278,16 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
     """Evaluate the exact error/residual decomposition up to N_max."""
     if N_max < 1:
         raise ValueError(f"need N_max >= 1, got {N_max}")
+    n = np.arange(1, N_max + 1)
+    sigma = np.asarray(model.sigma_law(n), dtype=float)
+    if not np.all(sigma > 0):
+        raise ValueError(
+            f"sigma law {model.sigma_law.name} must be positive on 1..{N_max}"
+        )
     nu_sq_total = model.noise_norm_sq()
     if not math.isfinite(nu_sq_total):
         raise ValueError(f"noise law {model.nu_law.name} is not square-summable")
-    n = np.arange(1, N_max + 1)
     nu_sq = np.abs(np.asarray(model.nu_law(n))) ** 2
-    sigma = np.asarray(model.sigma_law(n), dtype=float)
     g_sq = np.abs(np.asarray(model.g_law(n))) ** 2
     alpha = np.concatenate([[0.0], np.cumsum(nu_sq / sigma ** 2)])
     f_law = model.solution_law()

@@ -30,10 +30,17 @@ _LAW_CHECK_WINDOW = 10_000
 
 @dataclass(frozen=True)
 class SequenceLaw:
-    """Closed-form sequence n -> value, usable at arbitrary index."""
+    """Closed-form sequence n -> value, usable at arbitrary index.
+
+    The law builders record their kind ("pow", "pow1", "geom", "const")
+    and exact parameters; `name` formats them with :g for labels.  A
+    custom law leaves `kind` empty.
+    """
 
     name: str
     fn: Callable
+    kind: str = ""
+    params: tuple = ()
 
     def __call__(self, n):
         return self.fn(np.asarray(n))
@@ -41,22 +48,31 @@ class SequenceLaw:
 
 def power_law(c: float, p: float) -> SequenceLaw:
     """c * n^(-p)."""
-    return SequenceLaw(f"pow:{c:g},{p:g}", lambda n: c * np.asarray(n, dtype=float) ** (-p))
+    return SequenceLaw(
+        f"pow:{c:g},{p:g}", lambda n: c * np.asarray(n, dtype=float) ** (-p), "pow", (c, p)
+    )
 
 
 def geometric_law(c: float, q: float) -> SequenceLaw:
     """c * q^n."""
-    return SequenceLaw(f"geom:{c:g},{q:g}", lambda n: c * q ** np.asarray(n, dtype=float))
+    return SequenceLaw(
+        f"geom:{c:g},{q:g}", lambda n: c * q ** np.asarray(n, dtype=float), "geom", (c, q)
+    )
 
 
 def constant_law(c: float) -> SequenceLaw:
-    return SequenceLaw(f"const:{c:g}", lambda n: c * np.ones_like(np.asarray(n, dtype=float)))
+    return SequenceLaw(
+        f"const:{c:g}", lambda n: c * np.ones_like(np.asarray(n, dtype=float)), "const", (c,)
+    )
 
 
 def shifted_power_law(c: float, p: float) -> SequenceLaw:
     """c * (n+1)^(-p); finite at n = 0, for Z-indexed weights."""
     return SequenceLaw(
-        f"pow1:{c:g},{p:g}", lambda n: c * (np.asarray(n, dtype=float) + 1.0) ** (-p)
+        f"pow1:{c:g},{p:g}",
+        lambda n: c * (np.asarray(n, dtype=float) + 1.0) ** (-p),
+        "pow1",
+        (c, p),
     )
 
 

@@ -2,10 +2,11 @@
 
 The compression of an operator between the spans of the first N trial
 and test vectors is assembled entrywise from exact applications and
-inner products.  Direct solves use minimum-norm least squares; the
-iterative paths are GMRES (residual minimization over nested Krylov
-spaces) and conjugate gradients (energy minimization for self-adjoint
-positive operators), both formulated in ambient element arithmetic.
+inner products.  Direct solves use minimum-norm least squares.  The
+iterative paths share one Arnoldi basis of the Krylov spaces and its
+Hessenberg matrix: GMRES minimizes the residual over them, conjugate
+gradients (self-adjoint positive operators) solve the Galerkin system,
+which minimizes the energy.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ApproxSolution:
 
     `f_N_coeffs` is the coordinate array relative to the trial family
     used by the producing solver (for the iterative solvers, the Krylov
-    frame).
+    basis they return).
     `eps_norm` is the finite-dimensional defect ||A_N f - g_N|| in the
     solver's own test frame.  `element` is an optional exact ambient
     representative (set by solve_cg, whose iterates carry an affine
@@ -209,67 +210,61 @@ def solve_cg(
     N_max: int,
     f0=None,
 ):
-    """Conjugate-gradient iterates minimizing the energy functional.
+    """Conjugate-gradient iterates: the Galerkin solves on the Arnoldi basis.
 
-    Requires a self-adjoint positive operator.  Iterate n minimizes
-    Phi[h] = Re<h, Ah> - 2 Re<h, g> over the affine Krylov space
-    f0 + span{r_0, A r_0, ..., A^{n-1} r_0}.  The normalized residuals
-    double as the orthonormal Krylov frame for the recorded coordinates.
+    Requires a self-adjoint positive operator.  With r_0 = g - A f0 and
+    K = krylov_basis(op, r_0, N_max + 1), iterate n solves
+    T_n y = ||r_0|| e_1 for the leading n x n block T_n of the basis's
+    Hessenberg matrix and sets element = f0 + sum_k y_k u_k; this
+    minimizes Phi[h] = Re<h, Ah> - 2 Re<h, g> over f0 + K_n.  Returns
+    (solutions, basis), the coordinates referring to the basis, like
+    solve_gmres.  A T_n that is not positive definite raises
+    CapabilityError.  Stops once the residual norm |H[n, n-1] y_n|
+    reaches 1e-15 max(||g||, 1) or the basis is exhausted; a vanishing
+    r_0 gives one iteration-0 solution f0 and no basis.
     """
     if not (op.self_adjoint and op.positive):
         raise CapabilityError(
             f"conjugate gradients needs a self-adjoint positive operator; "
             f"{op.label} is not"
         )
-    x = (0.0 * g) if f0 is None else f0
-    r = g - op.apply(x)
-    sols = []
-    rnorm0 = r.norm()
+    x0 = (0.0 * g) if f0 is None else f0
+    r0 = g - op.apply(x0)
+    rnorm0 = r0.norm()
     floor = 1e-15 * max(g.norm(), 1.0)
     if rnorm0 <= floor:
-        sols.append(
-            ApproxSolution(
-                f_N_coeffs=np.zeros(0, dtype=complex),
-                eps_norm=0.0,
-                solver="cg",
-                iterations=0,
-                element=x,
-            )
+        sol = ApproxSolution(
+            f_N_coeffs=np.zeros(0, dtype=complex),
+            eps_norm=0.0,
+            solver="cg",
+            iterations=0,
+            element=x0,
         )
-        return sols
-    frame = [(1.0 / rnorm0) * r]
-    p = r
-    rho = rnorm0 ** 2
-    offset = x
-    for n in range(1, N_max + 1):
-        ap = op.apply(p)
-        denom = inner(p, ap).real
-        if denom <= 0:
+        return [sol], None
+    basis = krylov_basis(op, r0, N_max + 1)
+    H = basis.hessenberg
+    sols = []
+    for n in range(1, H.shape[1] + 1):
+        T = H[:n, :n]
+        try:
+            np.linalg.cholesky(0.5 * (T + T.conj().T))
+        except np.linalg.LinAlgError:
             raise CapabilityError(
-                f"{op.label} is not positive on the Krylov space (found "
-                f"<p, Ap> = {denom:.3e})"
-            )
-        alpha = rho / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        diff = x - offset
-        coords = np.array([inner(q, diff) for q in frame])
-        eps = float(
-            np.sqrt(sum(abs(inner(q, r)) ** 2 for q in frame[: len(coords)]))
-        )
+                f"{op.label} is not positive on the Krylov space (T_{n} is "
+                f"not positive definite)"
+            ) from None
+        rhs = np.zeros(n, dtype=complex)
+        rhs[0] = rnorm0
+        y = np.linalg.solve(T, rhs)
         sols.append(
             ApproxSolution(
-                f_N_coeffs=coords,
-                eps_norm=eps,
+                f_N_coeffs=y,
+                eps_norm=float(np.linalg.norm(T @ y - rhs)),
                 solver="cg",
                 iterations=n,
-                element=x,
+                element=x0 + lincomb(y, basis.elements(n)),
             )
         )
-        rho_new = r.norm() ** 2
-        if np.sqrt(rho_new) <= floor:
+        if abs(H[n, n - 1] * y[-1]) <= floor:
             break
-        frame.append((1.0 / np.sqrt(rho_new)) * r)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    return sols
+    return sols, basis

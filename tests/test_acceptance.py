@@ -146,7 +146,7 @@ def test_criterion_6_cg_contraction_and_energy():
     """CG on the [1,2] multiplication operator contracts the error by
     <= 0.2 per step on average over iterations 5..15 (condition number 2
     gives the 0.172 bound) and never increases the energy functional."""
-    sols = solve_cg(MULT, G2, 16)
+    sols, _ = solve_cg(MULT, G2, 16)
     errs = [(F2 - s.element).norm() for s in sols]
     factor = (errs[14] / errs[4]) ** (1.0 / 10.0)
 
@@ -283,7 +283,7 @@ def test_criterion_11_solver_equivalence_oracles():
             worst_gmres = max(worst_gmres, abs(resid.norm() - sol.eps_norm))
 
     worst_cg = 0.0
-    sols = solve_cg(MULT, G2, 15)
+    sols, _ = solve_cg(MULT, G2, 15)
     kb = krylov_basis(MULT, G2, 15)
     for sol in sols:
         n = sol.iterations

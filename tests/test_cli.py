@@ -15,6 +15,7 @@ from hilbtrunc.core import ConfigError
 from hilbtrunc.cli import (
     DEMOS,
     PRESETS,
+    SOLVERS,
     ExperimentConfig,
     demo,
     main,
@@ -244,6 +245,17 @@ class TestConfigValueErrors:
         argv = ["run", "volterra-g1", *override, "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("sigma_law", ["const:0", "pow:0,1", "geom:1,-0.5"])
+    def test_non_positive_sigma_exit_two(self, tmp_path, sigma_law):
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(
+            f"[noise]\nsigma_law = {sigma_law}\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "n_max = 50\n[output]\ncsv = out.csv\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
     def test_divergent_solution_law_is_unsolvable_without_warnings(self, tmp_path):
         """g_n / sigma_n = n^-2 / 0.9^n grows: the tail sum is inf, quietly."""
         cfg = tmp_path / "n.ini"
@@ -257,6 +269,103 @@ class TestConfigValueErrors:
             assert main(["run", str(cfg), "--out", str(out)]) == 0
         meta, _, _ = read_csv(out)
         assert meta["solvable"] == "no"
+
+
+MATRIX_OPERATORS = {
+    "volterra": "poly:0,0,0.5",
+    "mult-x:1,2": "poly:0,0,1",
+    "right-shift": "basis-e:2",
+    "weighted-right-shift:pow:1,1": "basis-e:1",
+    "weighted-right-shift-z:pow1:1,1": "basis-e:1",
+    "mult-seq:pow:1,1": "basis-e:2",  # an eigenvector: the Krylov space is 1-d
+}
+MATRIX_BASES = ("legendre", "fourier", "krylov", "svd", "canonical", "adversarial")
+
+
+def _truncation_ini(operator, datum, trial, test, solver, n_list="1,2,4"):
+    return (
+        f"[problem]\noperator = {operator}\ndatum = {datum}\n"
+        f"[truncation]\ntrial = {trial}\ntest = {test}\nn_list = {n_list}\n"
+        f"solver = {solver}\n[output]\ncsv = out.csv\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrix")
+
+
+class TestCliMatrix:
+    """Every operator kind x trial x test x solver, nonzero and zero datum."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("test", MATRIX_BASES)
+    @pytest.mark.parametrize("trial", MATRIX_BASES)
+    @pytest.mark.parametrize("operator", sorted(MATRIX_OPERATORS))
+    def test_runs_or_exits_two_or_three(self, matrix_dir, operator, trial, test, solver):
+        cfg, out = matrix_dir / "c.ini", matrix_dir / "o.csv"
+        for datum in (MATRIX_OPERATORS[operator], "zero"):
+            cfg.write_text(_truncation_ini(operator, datum, trial, test, solver))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["run", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3), datum
+
+    @pytest.mark.parametrize(
+        "operator,trial,test,solver",
+        [
+            ("volterra", "krylov", "krylov", "qr"),
+            ("volterra", "krylov", "legendre", "qr"),
+            ("volterra", "legendre", "krylov", "qr"),
+            ("volterra", "legendre", "legendre", "gmres"),
+            ("mult-x:1,2", "krylov", "krylov", "cg"),
+            ("right-shift", "canonical", "krylov", "qr"),
+        ],
+    )
+    def test_zero_datum_with_krylov_exit_two(
+        self, tmp_path, capsys, operator, trial, test, solver
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_truncation_ini(operator, "zero", trial, test, solver))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "nonzero datum" in capsys.readouterr().err
+
+    def test_cg_datum_below_roundoff_exit_two(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_truncation_ini("mult-x:1,2", "poly:1e-20", "krylov", "krylov", "cg"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_cg_on_zero_multiplier_exit_three(self, tmp_path, capsys):
+        """mult-seq:const:0 is flagged self-adjoint and positive, but its
+        T_1 = 0 is not positive definite."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            _truncation_ini("mult-seq:const:0", "basis-e:1", "krylov", "krylov", "cg")
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        assert "not positive definite" in capsys.readouterr().err
+
+    def test_adversarial_against_exhausted_krylov(self, tmp_path):
+        """The Krylov space of an eigenvector is 1-d: the adversarial family
+        is built for that size and the sweep stops at N = 1."""
+        cfg, out = tmp_path / "c.ini", tmp_path / "o.csv"
+        cfg.write_text(
+            _truncation_ini("mult-seq:pow:1,1", "basis-e:2", "krylov", "adversarial", "qr")
+        )
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert column(header, rows, "N", int) == [1]
+        assert meta["test"].startswith("adversarial[")
+
+    def test_cg_reports_the_krylov_basis_of_the_datum(self, tmp_path):
+        cfg, out = tmp_path / "c.ini", tmp_path / "o.csv"
+        cfg.write_text(
+            _truncation_ini("mult-x:1,2", "poly:0,0,1", "krylov", "krylov", "cg", "2,4")
+        )
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert meta["trial"] == meta["test"] == "krylov[mult-x[1,2]]"
+        assert column(header, rows, "N", int) == [2, 4]
 
 
 def _fresh_python(*args):

@@ -13,7 +13,10 @@ from hilbtrunc.operators import (
     Volterra,
     WeightedRightShift,
     constant_law,
+    geometric_law,
+    parse_law,
     power_law,
+    shifted_power_law,
 )
 from hilbtrunc.bases import canonical_basis, legendre_basis, fourier_basis
 from hilbtrunc.truncation import ApproxSolution, compress, solve_direct
@@ -193,6 +196,44 @@ class TestLawTails:
         r = ratio_law(power_law(1.0, 2.0), power_law(1.0, 1.0))
         assert r.name == "pow:1,1"
         np.testing.assert_allclose(r(np.array([2, 4])), [0.5, 0.25])
+
+
+class TestExactLawParameters:
+    def test_parsed_law_keeps_exact_parameters(self):
+        law = parse_law("pow:1.0000001,1.5")
+        assert law.name == "pow:1,1.5"
+        assert (law.kind, law.params) == ("pow", (1.0000001, 1.5))
+        expect = 1.0000001 ** 2 * ZETA3
+        assert abs(law_tail_sq(law, 0) - expect) <= 1e-15 * expect
+
+    def test_ratio_of_powers_uses_exact_parameters(self):
+        r = ratio_law(power_law(1.0000001, 2.0), power_law(3.0, 1.0))
+        assert r.name == "pow:0.333333,1"
+        assert (r.kind, r.params) == ("pow", (1.0000001 / 3.0, 1.0))
+
+    def test_ratio_of_shifted_powers_is_closed_form(self):
+        r = ratio_law(shifted_power_law(1.0, 2.0), shifted_power_law(1.0, 1.0))
+        assert (r.name, r.kind, r.params) == ("pow1:1,1", "pow1", (1.0, 1.0))
+        np.testing.assert_allclose(r(np.array([1, 3])), [0.5, 0.25], rtol=1e-15)
+
+    def test_shifted_power_noise_series_quiet(self):
+        """Warnings are errors here: the generic path emitted two
+        IntegrationWarnings for this model."""
+        model = NoiseModel(
+            sigma_law=shifted_power_law(1.0, 1.0),
+            g_law=shifted_power_law(1.0, 2.0),
+            nu_law=power_law(1.0, 1.5),
+        )
+        series = noise_series(model, 20)
+        assert abs(series.beta[0] - (math.pi ** 2 / 6.0 - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "sigma", [constant_law(0.0), power_law(0.0, 1.0), geometric_law(1.0, -0.5)]
+    )
+    def test_sigma_must_be_positive(self, sigma):
+        model = NoiseModel(sigma, power_law(1.0, 2.0), power_law(1.0, 1.5))
+        with pytest.raises(ValueError, match="must be positive"):
+            noise_series(model, 10)
 
 
 class TestNoiseSeries:

@@ -4,7 +4,8 @@ The oracle integrates x^p e^{iwx} by its power series in (iw), summed in
 mpmath at a working precision far above the cancellation the series
 suffers, and expands the orthonormal shifted Legendre polynomials into
 monomials in the same precision.  Neither shares a branch with the
-library's closed forms, recursion or quadrature.
+library's closed forms, recursion or quadrature.  Mixed Legendre/Fourier
+compressions are checked against a pointwise Gauss-Legendre rule.
 """
 
 import math
@@ -17,7 +18,7 @@ from hilbtrunc.bases import fourier_basis, legendre_basis
 from hilbtrunc import elements
 from hilbtrunc.diagnostics import evaluate
 from hilbtrunc.elements import Func, _moment_block, iosc, leg_osc_integral
-from hilbtrunc.operators import MultiplicationX
+from hilbtrunc.operators import MultiplicationX, Volterra
 from hilbtrunc.truncation import compress, solve_direct
 
 
@@ -161,3 +162,24 @@ def test_legendre_trial_fourier_test_residual():
     p = compress(op, trial, test, 28, g)
     rec = evaluate(op, g, solve_direct(p), trial, test)
     assert rec.res_norm <= 1e-11
+
+
+@pytest.mark.parametrize("operator", [Volterra(), MultiplicationX((0.75, 2.0))])
+@pytest.mark.parametrize("pair", ["legendre-fourier", "fourier-legendre"])
+def test_mixed_compression_against_pointwise_quadrature(operator, pair):
+    """Mixed Legendre/Fourier compressions at N = 40 against a 400-point
+    Gauss-Legendre rule (numpy's, not the library's) applied to pointwise
+    values of the basis elements and of the applied trial elements."""
+    interval = operator.space[1]
+    make = {"legendre": legendre_basis, "fourier": fourier_basis}
+    trial, test = (make[name](interval) for name in pair.split("-"))
+    N = 40
+    A = compress(operator, trial, test, N, Func.zero(interval)).A_N
+    x, w = np.polynomial.legendre.leggauss(400)
+    a, b = interval
+    x = 0.5 * (b - a) * x + 0.5 * (a + b)
+    w = 0.5 * (b - a) * w
+    V = np.array([v.eval_at(x) for v in test.elements(N)])
+    AU = np.array([operator.apply(u).eval_at(x) for u in trial.elements(N)])
+    oracle = (np.conj(V) * w) @ AU.T
+    assert np.max(np.abs(A - oracle)) <= 1e-12 * np.max(np.abs(A))

@@ -1,12 +1,13 @@
 """Tests for compression, lifting, and the three solver paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hilbtrunc.core import CapabilityError, gauss_legendre, singular_values
-from hilbtrunc.elements import Func, Seq, inner
+from hilbtrunc.elements import Func, Seq, inner, lincomb
 from hilbtrunc.operators import (
     MultiplicationSeq,
     MultiplicationX,
@@ -311,32 +312,32 @@ class TestSolveCg:
     def test_error_contraction_rate(self):
         """Spectrum in [1,2] means condition number 2, so the classical
         bound gives an asymptotic contraction (sqrt2-1)/(sqrt2+1) ~ 0.172."""
-        sols = solve_cg(self.op, self.g, 16)
+        sols, _ = solve_cg(self.op, self.g, 16)
         errs = [(self.f - s.element).norm() for s in sols]
         geo = (errs[14] / errs[4]) ** (1.0 / 10.0)
         assert geo <= 0.2
 
     def test_energy_non_increasing(self):
-        sols = solve_cg(self.op, self.g, 18)
+        sols, _ = solve_cg(self.op, self.g, 18)
         def phi(h):
             return inner(h, self.op.apply(h)).real - 2 * inner(h, self.g).real
         vals = [phi(s.element) for s in sols]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_exact_initial_guess_terminates(self):
-        sols = solve_cg(self.op, self.g, 10, f0=self.f)
+        sols, _ = solve_cg(self.op, self.g, 10, f0=self.f)
         assert len(sols) == 1 and sols[0].iterations == 0
         assert (lift(sols[0], None) - self.f).norm() < 1e-14
 
     def test_eigenvector_datum_one_step(self):
         op = MultiplicationSeq(power_law(1.0, 1.0))
-        sols = solve_cg(op, Seq.basis_vector(1), 5)
+        sols, _ = solve_cg(op, Seq.basis_vector(1), 5)
         assert sols[-1].iterations == 1
         assert (sols[-1].element - Seq.basis_vector(1)).norm() < 1e-14
 
     def test_galerkin_residual_orthogonality(self):
         """The n-th residual is orthogonal to the Krylov space spanned so far."""
-        sols = solve_cg(self.op, self.g, 12)
+        sols, _ = solve_cg(self.op, self.g, 12)
         kb = krylov_basis(self.op, self.g, 12)
         for sol in sols[:10]:
             n = sol.iterations
@@ -347,7 +348,7 @@ class TestSolveCg:
     def test_matches_variational_minimizer(self):
         """CG iterates equal the dense minimizer of the energy over the
         Krylov block (independent Gram assembly and solve)."""
-        sols = solve_cg(self.op, self.g, 15)
+        sols, _ = solve_cg(self.op, self.g, 15)
         kb = krylov_basis(self.op, self.g, 15)
         for sol in sols:
             n = sol.iterations
@@ -368,7 +369,7 @@ class TestSolveCg:
         at least like (C/(2N+1))^2 for C fitted on the first iterate."""
         u = Func.from_poly((1.0, 2.0), [1.0])
         f0 = self.f + self.op.apply(u)
-        sols = solve_cg(self.op, self.g, 16, f0=f0)
+        sols, _ = solve_cg(self.op, self.g, 16, f0=f0)
         errs = [(self.f - s.element).norm() for s in sols]
         gamma = 2.0
         C = 3.0 * errs[0] ** (1.0 / gamma)
@@ -376,6 +377,39 @@ class TestSolveCg:
             n = i + 1
             assert e <= (C / (2 * n + 1)) ** gamma + 1e-14
         assert errs[-1] < 1e-10
+
+
+    def test_returns_the_basis_its_coordinates_refer_to(self):
+        """The basis is the Arnoldi basis of the datum (f0 = 0), and each
+        iterate's coordinates in it rebuild the iterate."""
+        sols, kb = solve_cg(self.op, self.g, 12)
+        assert kb.label == krylov_basis(self.op, self.g, 1).label
+        assert kb.size == 13
+        for sol in sols:
+            assert len(sol.f_N_coeffs) == sol.iterations
+            rebuilt = lift(replace(sol, element=None), kb)
+            assert (rebuilt - sol.element).norm() < 1e-13
+
+    def test_basis_is_built_on_the_initial_residual(self):
+        f0 = Func.from_poly((1.0, 2.0), [1.0])
+        sols, kb = solve_cg(self.op, self.g, 6, f0=f0)
+        r0 = self.g - self.op.apply(f0)
+        assert (kb.element(1) - (1.0 / r0.norm()) * r0).norm() < 1e-14
+        for sol in sols:
+            offset = lincomb(sol.f_N_coeffs, kb.elements(sol.iterations))
+            assert (f0 + offset - sol.element).norm() < 1e-13
+
+    def test_vanishing_residual_has_no_basis(self):
+        sols, kb = solve_cg(self.op, Func.zero((1.0, 2.0)), 5)
+        assert kb is None and len(sols) == 1
+        assert sols[0].iterations == 0 and sols[0].element.norm() == 0
+
+    def test_indefinite_projection_rejected(self):
+        """Flagged self-adjoint and positive, but A e_1 = 0: T_1 = 0."""
+        op = MultiplicationSeq(constant_law(0.0))
+        assert op.self_adjoint and op.positive
+        with pytest.raises(CapabilityError, match="not positive definite"):
+            solve_cg(op, Seq.basis_vector(1), 5)
 
 
 class TestAsymptoticConsistency:
