@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elements import Func, Seq, inner, lincomb
+from .elements import Func, Seq, inner, inner_matrix, lincomb
 from .operators import BoundedOperator
 
 #: Relative tolerance below which a new Arnoldi direction counts as zero.
@@ -234,10 +234,8 @@ def adversarial_test_basis(
     frame = _working_family(op, trial)
     frame_elems = frame.elements(horizon)
     # coordinates of A u_j in the working frame
-    image_coords = np.empty((n_max, horizon), dtype=complex)
-    for j in range(n_max):
-        auj = op.apply(trial.element(j + 1))
-        image_coords[j] = [inner(w, auj) for w in frame_elems]
+    images = [op.apply(trial.element(j + 1)) for j in range(n_max)]
+    image_coords = inner_matrix(frame_elems, images).T
     test_coords = []
     for N in range(1, n_max + 1):
         rows = [image_coords[j] for j in range(N)] + test_coords

@@ -15,12 +15,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .bases import OrthonormalBasis, svd_bases
+from .core import gauss_legendre
 from .elements import inner, lincomb
-from .operators import BoundedOperator, SequenceLaw, power_law, shifted_power_law
+from .operators import (
+    BoundedOperator,
+    SequenceLaw,
+    geometric_law,
+    power_law,
+    shifted_power_law,
+)
 from .truncation import ApproxSolution, compress, lift, solve_direct
 
 #: Norm level below which a series counts as strongly vanished.
@@ -179,55 +185,81 @@ def classify(series: Sequence[ConvergenceRecord], which: str) -> Classification:
 # spectral noise model
 # ---------------------------------------------------------------------------
 
-def law_tail_sq(law: SequenceLaw, N: int) -> float:
-    """Exact-or-bounded tail sum_{n > N} law(n)^2.
+#: Terms the generic tail sums directly past the largest requested N.
+_TAIL_DIRECT = 1 << 17
+#: Doubling intervals [x, 2x] of the generic tail's remainder integral.
+_TAIL_OCTAVES = 64
+
+
+def law_tail_sq(law: SequenceLaw, N):
+    """Exact-or-bounded tail sum_{n > N} law(n)^2, for an int N or an array of them.
 
     Power laws use the Hurwitz zeta function, geometric laws the closed
-    geometric sum.  Other laws are summed adaptively until an
-    integral-comparison bound certifies the remainder below 1e-10
-    relative; non-summable tails return +inf.
+    geometric sum.  Other laws, assumed smooth and eventually monotone,
+    are summed directly over 2^17 terms past the largest N.  The rest,
+    sum_{n > M}, is the midpoint-rule integral from M + 1/2; for decay
+    like n^-s its error is s(s-1)/(24 M^2) of the rest (5e-12 at s = 2).
+    The integral is a 16-point Gauss-Legendre rule on each of 64
+    doubling intervals, continued geometrically from the last two, which
+    is exact for a power-law tail.  A tail that overflows or whose
+    intervals do not shrink is not summable and returns +inf; a law that
+    evaluates to NaN (say 0/0 once both parts of a ratio underflow)
+    raises ValueError.  For an array, the smaller N add the terms up to
+    the largest N in reverse order, so one evaluation serves every N.
     """
+    N = np.asarray(N)
     if law.kind in ("pow", "pow1"):
         c, p = law.params
         if 2 * p <= 1:
-            return math.inf
-        first = N + 1 if law.kind == "pow" else N + 2  # pow1 is pow shifted by one
-        return c * c * float(scipy.special.zeta(2 * p, first))
-    if law.kind == "geom":
+            out = np.full(N.shape, math.inf)
+        else:
+            first = N + 1 if law.kind == "pow" else N + 2  # pow1 is pow shifted by one
+            out = c * c * scipy.special.zeta(2 * p, first)
+    elif law.kind == "geom":
         c, q = law.params
         if abs(q) >= 1:
-            return math.inf
-        return c * c * q ** (2 * (N + 1)) / (1 - q * q)
-    if law.kind == "const":
+            out = np.full(N.shape, math.inf)
+        else:
+            out = c * c * q ** (2 * (N + 1)) / (1 - q * q)
+    elif law.kind == "const":
         (c,) = law.params
-        return math.inf if c != 0 else 0.0
-    # generic: adaptive summation with an integral remainder bound,
-    # assuming eventual monotone decrease
-    total = 0.0
-    n = N + 1
-    chunk = 64
-    for _ in range(10_000):
-        idx = np.arange(n, n + chunk)
-        total += float(np.sum(np.abs(np.asarray(law(idx))) ** 2))
-        n += chunk
-        # a growing law overflows the integrand: the inf bound is the answer
-        with np.errstate(over="ignore"):
-            bound, _ = scipy.integrate.quad(
-                lambda x: abs(law(np.array(x))) ** 2, n - 1, np.inf
-            )
-        if bound <= 1e-10 * max(total, 1e-300):
-            return total
-        if not math.isfinite(bound):
-            return math.inf
-    raise RuntimeError(f"tail of {law.name} did not converge within budget")
+        out = np.full(N.shape, math.inf if c != 0 else 0.0)
+    else:
+        out = _generic_tail_sq(law, N)
+    return float(out) if out.ndim == 0 else out
+
+
+def _generic_tail_sq(law: SequenceLaw, N: np.ndarray) -> np.ndarray:
+    lo, top = int(N.min()), int(N.max()) + _TAIL_DIRECT
+    ref = gauss_legendre(16, 1.0, 2.0)
+    octave = (top + 0.5) * 2.0 ** np.arange(_TAIL_OCTAVES)
+    # a growing law overflows or divides by an underflowed zero: the inf
+    # tail is the answer
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.abs(np.asarray(law(np.arange(lo + 1, top + 1)))) ** 2
+        nodes = np.abs(np.asarray(law(np.outer(octave, ref.nodes)))) ** 2
+        pieces = octave * (nodes @ ref.weights)
+    if np.isnan(terms).any() or np.isnan(pieces).any():
+        raise ValueError(f"{law.name} is not a number at some n > {lo}")
+    if not (np.all(np.isfinite(terms)) and np.all(np.isfinite(pieces))):
+        return np.full(N.shape, math.inf)
+    ratio = pieces[-1] / pieces[-2] if pieces[-2] > 0 else 0.0
+    if ratio >= 1:
+        return np.full(N.shape, math.inf)
+    rest = float(np.sum(pieces[::-1])) + pieces[-1] * ratio / (1.0 - ratio)
+    suffix = np.cumsum(np.append(terms, rest)[::-1])[::-1]
+    return suffix[N - lo]
 
 
 def ratio_law(num: SequenceLaw, den: SequenceLaw) -> SequenceLaw:
-    """The law n -> num(n)/den(n), keeping a closed form for pow and pow1 pairs."""
+    """The law n -> num(n)/den(n), keeping a closed form for pow, pow1 and geom pairs."""
     if num.kind == den.kind and num.kind in ("pow", "pow1"):
         (c1, p1), (c2, p2) = num.params, den.params
         make = power_law if num.kind == "pow" else shifted_power_law
         return make(c1 / c2, p1 - p2)
+    if num.kind == den.kind == "geom":
+        (c1, q1), (c2, q2) = num.params, den.params
+        return geometric_law(c1 / c2, q1 / q2)
     return SequenceLaw(
         f"ratio({num.name},{den.name})",
         lambda n: np.asarray(num(n)) / np.asarray(den(n)),
@@ -290,9 +322,9 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
     nu_sq = np.abs(np.asarray(model.nu_law(n))) ** 2
     g_sq = np.abs(np.asarray(model.g_law(n))) ** 2
     alpha = np.concatenate([[0.0], np.cumsum(nu_sq / sigma ** 2)])
-    f_law = model.solution_law()
-    beta = np.array([law_tail_sq(f_law, N) for N in range(0, N_max + 1)])
-    g_tail = np.array([law_tail_sq(model.g_law, N) for N in range(0, N_max + 1)])
+    Ns = np.arange(0, N_max + 1)
+    beta = law_tail_sq(model.solution_law(), Ns)
+    g_tail = law_tail_sq(model.g_law, Ns)
     res_sq = np.concatenate([[0.0], np.cumsum(nu_sq)]) + g_tail
     err_sq = alpha + beta
     return NoiseSeries(

@@ -14,6 +14,11 @@ Two concrete representations are used throughout:
   oscillatory moments come from Gauss-Legendre quadrature sized to be
   exact to roundoff: each is computed once, in a memoized block of
   consecutive degrees, so every caller sees the same value.
+
+A coordinate block stacks a list of elements of one space as the rows
+of coefficient matrices over a shared dictionary, so that all inner
+products between two lists are one matrix product and a linear
+combination is one row reduction.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from .core import SpaceMismatchError, gauss_legendre
 
@@ -161,7 +168,8 @@ def _reference_legendre(order: int, block: int) -> np.ndarray:
     times sqrt(2 / (b - a)) they are the rows on [a, b] at the mapped nodes."""
     top = _BLOCK * (block + 1)
     nodes = gauss_legendre(order, -1.0, 1.0).nodes
-    out = legendre_values((-1.0, 1.0), top - 1, nodes)[top - _BLOCK :]
+    # a copy: a view would keep every lower degree's row alive in the memo
+    out = legendre_values((-1.0, 1.0), top - 1, nodes)[top - _BLOCK :].copy()
     out.flags.writeable = False
     return out
 
@@ -455,10 +463,133 @@ def norm(u) -> float:
 
 
 def lincomb(coeffs, elements):
-    """Sum of coeff * element over a nonempty list."""
-    it = iter(zip(coeffs, elements))
-    c0, e0 = next(it)
-    acc = c0 * e0
-    for c, e in it:
-        acc = acc + c * e
-    return acc
+    """Sum of coeff * element over a nonempty list.
+
+    The rows of the coordinate block are scaled and added in list order,
+    so every coefficient gets the same sum as adding the scaled elements
+    one after another.
+    """
+    (block,) = stack(elements)
+    coeffs = np.asarray(coeffs)[:, None]
+    total = np.add.reduce(coeffs * block.coords, axis=0)
+    if block.space[0] == "seq":
+        return Seq(block.space[1], block.origin, total)
+    osc = np.add.reduce(coeffs * block.osc, axis=0)
+    out = Func(block.space[1], total, dict(zip(block.atoms, osc)))
+    out.approximate = any(e.approximate for e in elements)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# coordinate blocks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoordinateBlock:
+    """Elements of one space as the rows of coefficient matrices.
+
+    `coords` holds each element's coefficients on the Legendre degrees
+    0, 1, ... of a function, or on the indices origin, origin + 1, ...
+    of a sequence.  `osc` holds a function's coefficients on the
+    oscillatory atoms x^m e^{iwx} listed in `atoms`, sorted by (m, w):
+    a product then sums each entry in an order that depends only on its
+    two elements, not on the rest of the block.
+    """
+
+    space: tuple
+    coords: np.ndarray
+    osc: Optional[np.ndarray] = None
+    atoms: tuple = ()
+    origin: int = 0
+
+
+def stack(*lists) -> list:
+    """One coordinate block per nonempty list of elements of one space.
+
+    The blocks share their columns: the Legendre degrees up to the
+    longest expansion, or a sequence window covering every stored value.
+    Each block lists the atoms of its own elements.
+    """
+    first = lists[0][0]
+    for e in (e for lst in lists for e in lst):
+        if type(e) is not type(first):
+            raise SpaceMismatchError(
+                f"cannot pair {type(first).__name__} with {type(e).__name__}"
+            )
+        first._check(e)
+    blocks = []
+    if isinstance(first, Seq):
+        filled = [e for lst in lists for e in lst if len(e.values)]
+        origin = min((e.origin for e in filled), default=first.origin)
+        width = max((e.origin + len(e.values) for e in filled), default=origin) - origin
+        for lst in lists:
+            coords = np.zeros((len(lst), width), dtype=complex)
+            for i, e in enumerate(lst):
+                if len(e.values):
+                    coords[i, e.origin - origin : e.origin - origin + len(e.values)] = e.values
+            blocks.append(CoordinateBlock(("seq", first.domain), coords, origin=origin))
+        return blocks
+    degrees = max(len(e.leg) for lst in lists for e in lst)
+    for lst in lists:
+        atoms = sorted({key for e in lst for key in e.osc})
+        slot = {key: j for j, key in enumerate(atoms)}
+        coords = np.zeros((len(lst), degrees), dtype=complex)
+        osc = np.zeros((len(lst), len(atoms)), dtype=complex)
+        for i, e in enumerate(lst):
+            coords[i, : len(e.leg)] = e.leg
+            for key, c in e.osc.items():
+                osc[i, slot[key]] = c
+        blocks.append(CoordinateBlock(("func", first.interval), coords, osc, tuple(atoms)))
+    return blocks
+
+
+def inner_matrix(tests, elements) -> np.ndarray:
+    """The matrix [<v_i, u_j>] for v_i in `tests` and u_j in `elements`.
+
+    With V and U the coordinate blocks of the two lists this is V^H G U,
+    G being the Gram matrix of their columns: the identity on Legendre
+    degrees and sequence indices, the moments int L_k x^m e^{iwx}
+    between a degree and an atom, and iosc between two atoms (once per
+    distinct m1 + m2, w2 - w1).  The products are sparse.  When every
+    v_i is a single unit coordinate (a Legendre or canonical basis
+    vector) the product is a row gather, and exact.
+    """
+    V, U = stack(tests, elements)
+    sparse = scipy.sparse.csr_array
+    # the Legendre (or sequence) rows of G U
+    GU = U.coords
+    if V.space[0] == "func":
+        interval, degrees = V.space[1], GU.shape[1]
+        if U.atoms:
+            GU = GU + sparse(U.osc) @ _moments(interval, U.atoms, degrees).T
+    nonzero = V.coords != 0
+    if not V.atoms and np.all(nonzero.sum(axis=1) == 1) and np.all(V.coords[nonzero] == 1):
+        # + 0.0 turns a stored -0.0 into the +0.0 a sum of products gives
+        return GU[:, np.argmax(nonzero, axis=1)].T + 0.0
+    A = sparse(V.coords.conj()) @ GU.T
+    if V.atoms:
+        # the atom rows of G U: moments of U's degrees, iosc of U's atoms
+        moments = _moments(interval, V.atoms, degrees)
+        gram = _atom_gram(interval, V.atoms, U.atoms)
+        A += sparse(V.osc.conj()) @ (sparse(U.coords) @ moments.conj() + sparse(U.osc) @ gram.T).T
+    return A
+
+
+def _moments(interval, atoms, degrees: int) -> np.ndarray:
+    """Columns [int L_k x^m e^{iwx} for k < degrees], one per atom (m, w)."""
+    out = np.zeros((degrees, len(atoms)), dtype=complex)
+    for j, (m, w) in enumerate(atoms):
+        out[:, j] = leg_osc_integral(interval, degrees - 1, m, w)
+    return out
+
+
+def _atom_gram(interval, left, right) -> np.ndarray:
+    """Matrix of <x^m1 e^{i w1 x}, x^m2 e^{i w2 x}> = iosc(m1 + m2, w2 - w1)."""
+    m1, w1 = np.array(left, dtype=float).reshape(-1, 2).T
+    m2, w2 = np.array(right, dtype=float).reshape(-1, 2).T
+    keys = np.empty((len(m1), len(m2)), dtype=complex)  # m1 + m2 + i (w2 - w1)
+    keys.real = m1[:, None] + m2[None, :]
+    keys.imag = w2[None, :] - w1[:, None]
+    distinct, where = np.unique(keys, return_inverse=True)
+    values = np.array([iosc(interval, int(k.real), float(k.imag)) for k in distinct])
+    return values[where].reshape(keys.shape)

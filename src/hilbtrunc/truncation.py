@@ -1,8 +1,8 @@
 """Build N-dimensional truncations, solve them, lift solutions back.
 
 The compression of an operator between the spans of the first N trial
-and test vectors is assembled entrywise from exact applications and
-inner products.  Direct solves use minimum-norm least squares.  The
+and test vectors is one product of coordinate blocks built from exact
+applications.  Direct solves use minimum-norm least squares.  The
 iterative paths share one Arnoldi basis of the Krylov spaces and its
 Hessenberg matrix: GMRES minimizes the residual over them, conjugate
 gradients (self-adjoint positive operators) solve the Galerkin system,
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CapabilityError, RANK_RTOL, qr_least_squares
 from .bases import OrthonormalBasis, krylov_basis
-from .elements import inner, lincomb
+from .elements import inner_matrix, lincomb
 from .operators import BoundedOperator
 
 #: Families for picking a solution of a singular truncated problem.
@@ -81,7 +81,10 @@ def compress(
     """Assemble A_N[i, j] = <v_i, A u_j> and g_N[i] = <v_i, g>.
 
     The inner projections of the compression are redundant at these
-    indices, so entries are computed directly from exact applications.
+    indices, so entries are computed directly from exact applications:
+    the images A u_j and g are stacked with the test elements on one
+    coordinate block and A_N is one product V^H G U (a row gather for
+    Legendre and canonical test bases).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -99,9 +102,8 @@ def compress(
             "only up to the projection degree",
             stacklevel=2,
         )
-    tests = test.elements(N)
-    A = np.array([[inner(v, au) for au in applied] for v in tests])
-    gvec = np.array([inner(v, g) for v in tests])
+    block = inner_matrix(test.elements(N), applied + [g])
+    A, gvec = np.ascontiguousarray(block[:, :N]), np.ascontiguousarray(block[:, N])
     A.flags.writeable = False
     gvec.flags.writeable = False
     return TruncatedProblem(

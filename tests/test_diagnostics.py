@@ -216,6 +216,19 @@ class TestExactLawParameters:
         assert (r.name, r.kind, r.params) == ("pow1:1,1", "pow1", (1.0, 1.0))
         np.testing.assert_allclose(r(np.array([1, 3])), [0.5, 0.25], rtol=1e-15)
 
+    def test_ratio_of_geometric_laws_is_closed_form(self):
+        """Sampled as a ratio, both parts underflow to 0/0 near n = 7000."""
+        r = ratio_law(geometric_law(1.0, 0.5), geometric_law(2.0, 0.9))
+        assert (r.kind, r.params) == ("geom", (0.5, 0.5 / 0.9))
+        q2 = (0.5 / 0.9) ** 2
+        assert abs(law_tail_sq(r, 3) - 0.25 * q2 ** 4 / (1 - q2)) <= 1e-15
+
+    def test_law_that_is_not_a_number_raises(self):
+        """0/0 at large n: the generic tail cannot be evaluated."""
+        law = ratio_law(power_law(1.0, 16.0), shifted_power_law(1.0, 15.0))
+        with pytest.raises(ValueError, match="not a number"):
+            law_tail_sq(law, 0)
+
     def test_shifted_power_noise_series_quiet(self):
         """Warnings are errors here: the generic path emitted two
         IntegrationWarnings for this model."""

@@ -5,7 +5,9 @@ mpmath at a working precision far above the cancellation the series
 suffers, and expands the orthonormal shifted Legendre polynomials into
 monomials in the same precision.  Neither shares a branch with the
 library's closed forms, recursion or quadrature.  Mixed Legendre/Fourier
-compressions are checked against a pointwise Gauss-Legendre rule.
+compressions are checked against a pointwise Gauss-Legendre rule, and a
+noise tail with no closed form in the library against mpmath's Hurwitz
+zeta.
 """
 
 import math
@@ -16,9 +18,9 @@ import pytest
 
 from hilbtrunc.bases import fourier_basis, legendre_basis
 from hilbtrunc import elements
-from hilbtrunc.diagnostics import evaluate
+from hilbtrunc.diagnostics import NoiseModel, evaluate, noise_series
 from hilbtrunc.elements import Func, _moment_block, iosc, leg_osc_integral
-from hilbtrunc.operators import MultiplicationX, Volterra
+from hilbtrunc.operators import MultiplicationX, Volterra, parse_law
 from hilbtrunc.truncation import compress, solve_direct
 
 
@@ -183,3 +185,21 @@ def test_mixed_compression_against_pointwise_quadrature(operator, pair):
     AU = np.array([operator.apply(u).eval_at(x) for u in trial.elements(N)])
     oracle = (np.conj(V) * w) @ AU.T
     assert np.max(np.abs(A - oracle)) <= 1e-12 * np.max(np.abs(A))
+
+
+def test_mixed_power_solution_tail_against_hurwitz_zeta():
+    """g_n = n^-2 over sigma_n = (n+1)^-1 has no closed form in the library:
+    its solution law f_n = (n+1)/n^2 goes through the generic tail, where
+    sum_{n>N} f_n^2 = zeta(2,N+1) + 2 zeta(3,N+1) + zeta(4,N+1).  Warnings
+    are errors here; the old quadrature bound warned and was 1.7 % off at
+    N = 1000."""
+    model = NoiseModel(
+        sigma_law=parse_law("pow1:1,1"),
+        g_law=parse_law("pow:1,2"),
+        nu_law=parse_law("pow:1,1.5"),
+    )
+    series = noise_series(model, 1000)
+    with mp.workdps(30):
+        for N in (0, 50, 1000):
+            exact = mp.zeta(2, N + 1) + 2 * mp.zeta(3, N + 1) + mp.zeta(4, N + 1)
+            assert abs(series.beta[N] - exact) <= 1e-9 * exact
