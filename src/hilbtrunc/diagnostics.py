@@ -199,12 +199,14 @@ def law_tail_sq(law: SequenceLaw, N):
     are summed directly over 2^17 terms past the largest N.  The rest,
     sum_{n > M}, is the midpoint-rule integral from M + 1/2; for decay
     like n^-s its error is s(s-1)/(24 M^2) of the rest (5e-12 at s = 2).
-    The integral is a 16-point Gauss-Legendre rule on each of 64
-    doubling intervals, continued geometrically from the last two, which
-    is exact for a power-law tail.  A tail that overflows or whose
-    intervals do not shrink is not summable and returns +inf; a law that
-    evaluates to NaN (say 0/0 once both parts of a ratio underflow)
-    raises ValueError.  For an array, the smaller N add the terms up to
+    The integral is a 16-point Gauss-Legendre rule on doubling
+    intervals, added until one is below roundoff of the tail past the
+    largest N; if 64 are not enough it is continued geometrically from
+    the last two, which is exact for a power-law tail.  A tail that
+    overflows or whose intervals do not shrink is not summable and
+    returns +inf; a law that evaluates to NaN before its tail is
+    negligible (say 0/0 once both parts of a ratio underflow) raises
+    ValueError.  For an array, the smaller N add the terms up to
     the largest N in reverse order, so one evaluation serves every N.
     """
     N = np.asarray(N)
@@ -233,20 +235,34 @@ def _generic_tail_sq(law: SequenceLaw, N: np.ndarray) -> np.ndarray:
     lo, top = int(N.min()), int(N.max()) + _TAIL_DIRECT
     ref = gauss_legendre(16, 1.0, 2.0)
     octave = (top + 0.5) * 2.0 ** np.arange(_TAIL_OCTAVES)
-    # a growing law overflows or divides by an underflowed zero: the inf
-    # tail is the answer
+    # a growing law overflows, and far out a ratio's parts may both
+    # underflow to 0/0: the intervals past the negligible ones are not used
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = np.abs(np.asarray(law(np.arange(lo + 1, top + 1)))) ** 2
         nodes = np.abs(np.asarray(law(np.outer(octave, ref.nodes)))) ** 2
         pieces = octave * (nodes @ ref.weights)
-    if np.isnan(terms).any() or np.isnan(pieces).any():
+    if np.isnan(terms).any():
         raise ValueError(f"{law.name} is not a number at some n > {lo}")
-    if not (np.all(np.isfinite(terms)) and np.all(np.isfinite(pieces))):
+    if not np.all(np.isfinite(terms)):
         return np.full(N.shape, math.inf)
-    ratio = pieces[-1] / pieces[-2] if pieces[-2] > 0 else 0.0
-    if ratio >= 1:
-        return np.full(N.shape, math.inf)
-    rest = float(np.sum(pieces[::-1])) + pieces[-1] * ratio / (1.0 - ratio)
+    # the tail past the largest N, to which a negligible interval is relative
+    tail = float(np.sum(terms[int(N.max()) - lo :]))
+    kept = 0
+    for piece in pieces:
+        if piece <= np.finfo(float).eps * tail:
+            break
+        if np.isnan(piece):
+            raise ValueError(f"{law.name} is not a number at some n > {top}")
+        if np.isinf(piece):
+            return np.full(N.shape, math.inf)
+        tail += piece
+        kept += 1
+    rest = float(np.sum(pieces[:kept][::-1]))
+    if kept == len(pieces):
+        ratio = pieces[-1] / pieces[-2]
+        if ratio >= 1:
+            return np.full(N.shape, math.inf)
+        rest += pieces[-1] * ratio / (1.0 - ratio)
     suffix = np.cumsum(np.append(terms, rest)[::-1])[::-1]
     return suffix[N - lo]
 

@@ -471,13 +471,26 @@ def lincomb(coeffs, elements):
     """
     (block,) = stack(elements)
     coeffs = np.asarray(coeffs)[:, None]
-    total = np.add.reduce(coeffs * block.coords, axis=0)
+    total = _row_sum(coeffs * block.coords)
     if block.space[0] == "seq":
-        return Seq(block.space[1], block.origin, total)
-    osc = np.add.reduce(coeffs * block.osc, axis=0)
+        if not len(block.index):
+            return Seq(block.space[1], elements[0].origin, total)
+        lo = int(block.index[0])
+        values = np.zeros(int(block.index[-1]) - lo + 1, dtype=complex)
+        values[block.index - lo] = total
+        return Seq(block.space[1], lo, values)
+    osc = _row_sum(coeffs * block.osc)
     out = Func(block.space[1], total, dict(zip(block.atoms, osc)))
     out.approximate = any(e.approximate for e in elements)
     return out
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows added one after another.  np.add.reduce does that along
+    axis 0, except on a single column, which it sums pairwise."""
+    if rows.shape[1] == 1:
+        return np.cumsum(rows, axis=0)[-1]
+    return np.add.reduce(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,26 +502,27 @@ class CoordinateBlock:
     """Elements of one space as the rows of coefficient matrices.
 
     `coords` holds each element's coefficients on the Legendre degrees
-    0, 1, ... of a function, or on the indices origin, origin + 1, ...
-    of a sequence.  `osc` holds a function's coefficients on the
-    oscillatory atoms x^m e^{iwx} listed in `atoms`, sorted by (m, w):
-    a product then sums each entry in an order that depends only on its
-    two elements, not on the rest of the block.
+    0, 1, ... of a function, or on the sorted sequence indices `index`.
+    `osc` holds a function's coefficients on the oscillatory atoms
+    x^m e^{iwx} listed in `atoms`, sorted by (m, w): a product then sums
+    each entry in an order that depends only on its two elements, not on
+    the rest of the block.
     """
 
     space: tuple
     coords: np.ndarray
     osc: Optional[np.ndarray] = None
     atoms: tuple = ()
-    origin: int = 0
+    index: Optional[np.ndarray] = None
 
 
 def stack(*lists) -> list:
     """One coordinate block per nonempty list of elements of one space.
 
     The blocks share their columns: the Legendre degrees up to the
-    longest expansion, or a sequence window covering every stored value.
-    Each block lists the atoms of its own elements.
+    longest expansion, or the sequence indices at which some element
+    stores a value, so that elements far apart add no columns for the
+    gap between them.  Each block lists the atoms of its own elements.
     """
     first = lists[0][0]
     for e in (e for lst in lists for e in lst):
@@ -520,14 +534,16 @@ def stack(*lists) -> list:
     blocks = []
     if isinstance(first, Seq):
         filled = [e for lst in lists for e in lst if len(e.values)]
-        origin = min((e.origin for e in filled), default=first.origin)
-        width = max((e.origin + len(e.values) for e in filled), default=origin) - origin
+        index = _stored_indices(filled)
+        # a stored window is contiguous in the sorted index
+        starts = iter(np.searchsorted(index, [e.origin for e in filled]).tolist())
         for lst in lists:
-            coords = np.zeros((len(lst), width), dtype=complex)
+            coords = np.zeros((len(lst), len(index)), dtype=complex)
             for i, e in enumerate(lst):
                 if len(e.values):
-                    coords[i, e.origin - origin : e.origin - origin + len(e.values)] = e.values
-            blocks.append(CoordinateBlock(("seq", first.domain), coords, origin=origin))
+                    start = next(starts)
+                    coords[i, start : start + len(e.values)] = e.values
+            blocks.append(CoordinateBlock(("seq", first.domain), coords, index=index))
         return blocks
     degrees = max(len(e.leg) for lst in lists for e in lst)
     for lst in lists:
@@ -543,6 +559,20 @@ def stack(*lists) -> list:
     return blocks
 
 
+def _stored_indices(seqs) -> np.ndarray:
+    """The sorted indices at which some sequence stores a value: the
+    union of their windows, merged into runs."""
+    if not seqs:
+        return np.zeros(0, dtype=int)
+    lo = np.array([e.origin for e in seqs])
+    hi = lo + np.array([len(e.values) for e in seqs])
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], np.maximum.accumulate(hi[order])
+    first = np.append(True, lo[1:] > hi[:-1])  # windows that start a run
+    starts, stops = lo[first], hi[np.append(first[1:], True)]
+    return np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+
+
 def inner_matrix(tests, elements) -> np.ndarray:
     """The matrix [<v_i, u_j>] for v_i in `tests` and u_j in `elements`.
 
@@ -550,9 +580,9 @@ def inner_matrix(tests, elements) -> np.ndarray:
     G being the Gram matrix of their columns: the identity on Legendre
     degrees and sequence indices, the moments int L_k x^m e^{iwx}
     between a degree and an atom, and iosc between two atoms (once per
-    distinct m1 + m2, w2 - w1).  The products are sparse.  When every
-    v_i is a single unit coordinate (a Legendre or canonical basis
-    vector) the product is a row gather, and exact.
+    distinct m1 + m2, w2 - w1).  The products are sparse: a row of V
+    holding a single 1 (a Legendre or canonical basis vector) copies
+    its row of G U exactly.
     """
     V, U = stack(tests, elements)
     sparse = scipy.sparse.csr_array
@@ -562,10 +592,6 @@ def inner_matrix(tests, elements) -> np.ndarray:
         interval, degrees = V.space[1], GU.shape[1]
         if U.atoms:
             GU = GU + sparse(U.osc) @ _moments(interval, U.atoms, degrees).T
-    nonzero = V.coords != 0
-    if not V.atoms and np.all(nonzero.sum(axis=1) == 1) and np.all(V.coords[nonzero] == 1):
-        # + 0.0 turns a stored -0.0 into the +0.0 a sum of products gives
-        return GU[:, np.argmax(nonzero, axis=1)].T + 0.0
     A = sparse(V.coords.conj()) @ GU.T
     if V.atoms:
         # the atom rows of G U: moments of U's degrees, iosc of U's atoms

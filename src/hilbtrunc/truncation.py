@@ -83,8 +83,8 @@ def compress(
     The inner projections of the compression are redundant at these
     indices, so entries are computed directly from exact applications:
     the images A u_j and g are stacked with the test elements on one
-    coordinate block and A_N is one product V^H G U (a row gather for
-    Legendre and canonical test bases).
+    coordinate block and A_N is one product V^H G U, exact for Legendre
+    and canonical test bases.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")

@@ -89,7 +89,7 @@ def test_compress_matches_entrywise_inner(operator, trial, test, N):
 
 @pytest.mark.parametrize("operator", ["volterra", "mult-x:1,2", "right-shift"])
 def test_exact_pairs_with_a_cli_datum_are_bitwise(operator):
-    """With no atoms in the datum the gather reproduces g_N bit for bit too."""
+    """With no atoms in the datum the product reproduces g_N bit for bit too."""
     op = parse_operator(operator)
     g = datum_for(op, oscillatory=False)
     name = "legendre" if op.space[0] == "func" else "canonical"
@@ -215,6 +215,20 @@ class TestLincombBlock:
         got, ref = lincomb(coeffs, elems), sequential_lincomb(coeffs, elems)
         assert got.origin == ref.origin and np.array_equal(got.values, ref.values)
 
+    def test_single_column_sum_is_bitwise_sequential(self):
+        """Rows that all store one index: numpy reduces a lone column
+        pairwise, which is not the order of the sequential sum."""
+        values = 10.0 ** np.arange(-8, 8)
+        elems = [Seq("nat", 5, [v]) for v in values] + [Seq("nat", 5, [-v]) for v in values]
+        coeffs = np.random.default_rng(5).standard_normal(len(elems))
+        got, ref = lincomb(coeffs, elems), sequential_lincomb(coeffs, elems)
+        assert got.origin == ref.origin == 5 and np.array_equal(got.values, ref.values)
+
+    def test_far_apart_sequences(self):
+        elems = [Seq.basis_vector(2), Seq("nat", 10**6, [1.0, 2.0])]
+        got, ref = lincomb([1.0, -1.0], elems), sequential_lincomb([1.0, -1.0], elems)
+        assert got.origin == ref.origin == 2 and np.array_equal(got.values, ref.values)
+
     def test_oscillatory_terms_and_flags(self):
         interval = (0.0, 1.0)
         elems = [
@@ -266,5 +280,27 @@ def test_block_columns():
     np.testing.assert_array_equal(right.coords, [[0, 3], [0, 0]])
     np.testing.assert_array_equal(right.osc, [[0], [4]])
     (seqs,) = stack([Seq("int", -2, [1.0, 0.0]), Seq.zero("int"), Seq("int", 1, [5.0])])
-    assert seqs.origin == -2
-    np.testing.assert_array_equal(seqs.coords, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]])
+    np.testing.assert_array_equal(seqs.index, [-2, -1, 1])
+    np.testing.assert_array_equal(seqs.coords, [[1, 0, 0], [0, 0, 0], [0, 0, 5]])
+
+
+def test_far_sequence_datum_adds_no_gap_columns(tmp_path):
+    """A canonical basis against a datum at index 10^8: the blocks hold the
+    stored indices only, not a dense window across the gap."""
+    far = 10**8
+    basis = make_basis("canonical", parse_operator("right-shift"), None, 10)
+    tests, data = stack(basis.elements(10), [Seq.basis_vector(far)])
+    assert tests.coords.shape == (10, 11) and tests.index[-1] == far
+    for operator in ("right-shift", "mult-seq:pow:1,1"):
+        op = parse_operator(operator)
+        datum = Seq.basis_vector(far)
+        p = compress(op, basis, basis, 10, datum)
+        A, gvec = entrywise(op, basis, basis, 10, datum)
+        assert np.array_equal(p.A_N, A) and np.array_equal(p.g_N, gvec)
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(
+        f"[problem]\noperator = right-shift\ndatum = basis-e:{far}\n"
+        "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 10\n"
+        "[output]\ncsv = out.csv\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0

@@ -223,9 +223,20 @@ class TestExactLawParameters:
         q2 = (0.5 / 0.9) ** 2
         assert abs(law_tail_sq(r, 3) - 0.25 * q2 ** 4 / (1 - q2)) <= 1e-15
 
-    def test_law_that_is_not_a_number_raises(self):
-        """0/0 at large n: the generic tail cannot be evaluated."""
+    def test_tail_ends_before_the_law_underflows(self):
+        """(n+1)^15 / n^16 is 0/0 past n ~ 1e19, where its tail is long
+        negligible: sum_{n>N} (n+1)^30 / n^32 = sum_k C(30,k) zeta(32-k, N+1)."""
         law = ratio_law(power_law(1.0, 16.0), shifted_power_law(1.0, 15.0))
+        for N in (0, 1000):
+            exact = math.fsum(
+                math.comb(30, k) * scipy.special.zeta(32 - k, N + 1) for k in range(31)
+            )
+            assert abs(law_tail_sq(law, N) - exact) <= 1e-10 * exact
+
+    def test_law_that_is_not_a_number_raises(self):
+        """n^-200 / (n+1)^-199 is 0/0 from n ~ 40 on, among the terms
+        the generic tail sums: it cannot be evaluated."""
+        law = ratio_law(power_law(1.0, 200.0), shifted_power_law(1.0, 199.0))
         with pytest.raises(ValueError, match="not a number"):
             law_tail_sq(law, 0)
 
