@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elements import Func, Seq, inner, inner_matrix, lincomb
+from .core import CapabilityError
+from .elements import Func, Seq, inner_matrix, lincomb
 from .operators import BoundedOperator
 
 #: Relative tolerance below which a new Arnoldi direction counts as zero.
@@ -143,29 +144,81 @@ def arnoldi(op: BoundedOperator, g, steps: int, breakdown_rtol: float = BREAKDOW
     breakdown at step m the recursion stops with m vectors; hessenberg
     keeps shape (m+1, m) with a near-zero trailing subdiagonal entry so
     least-squares consumers can still use the final column.
+
+    The orthogonalization runs on coefficient windows, Legendre
+    coefficients from degree 0 or a sequence's stored indices, with the
+    arithmetic of `inner`, `-` and `norm` on the elements: the same
+    overlap for each inner product, the same window for each difference
+    and the same bits.  Only the operator sees elements, one per step.
+    Data or images holding oscillatory atoms raise CapabilityError.
     """
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("Krylov construction requires a nonzero seed")
-    vectors = [(1.0 / gnorm) * g]
+    lo, v = _window(op, g)
+    windows = [(lo, lo + len(v), (1.0 / gnorm) * v)]
+    vectors = [_element(g, lo, windows[0][2])]
     H = np.zeros((steps + 1, steps), dtype=complex)
     exhausted = False
     done = 0
     for k in range(steps):
-        w = op.apply(vectors[k])
-        pre = w.norm()
-        for i in range(k + 1):
-            hik = inner(vectors[i], w)
-            H[i, k] = hik
-            w = w - hik * vectors[i]
-        hn = w.norm()
+        image = op.apply(vectors[k])
+        pre = image.norm()
+        lo, w = _window(op, image)
+        hi = lo + len(w)
+        # the first difference goes to a new array, as __add__ makes one:
+        # `image` keeps its coefficients, and -0.0 becomes +0.0 as in a sum
+        clean = False
+        column = []
+        for vlo, vhi, v in windows:
+            # <v, w> over the overlap, summed as Seq.inner / Func.inner do
+            start, stop = max(vlo, lo), min(vhi, hi)
+            hik = 0.0 + 0.0j
+            if start < stop:
+                hik += np.vdot(v[start - vlo : stop - vlo], w[start - lo : stop - lo])
+            hik = complex(hik)
+            column.append(hik)
+            # w - hik v on the union of the windows, as Func/Seq.__add__ do
+            if not clean or vlo < lo or vhi > hi:
+                start, stop = min(lo, vlo), max(hi, vhi)
+                grown = np.zeros(stop - start, dtype=complex)
+                grown[lo - start : hi - start] += w
+                lo, hi, w, clean = start, stop, grown, True
+            w[vlo - lo : vhi - lo] -= hik * v
+        H[: k + 1, k] = column
+        hn = float(np.linalg.norm(w))
         H[k + 1, k] = hn
         done = k + 1
         if hn <= breakdown_rtol * max(pre, 1e-300):
             exhausted = True
             break
-        vectors.append((1.0 / hn) * w)
+        windows.append((lo, hi, (1.0 / hn) * w))
+        vectors.append(_element(image, lo, windows[-1][2], vectors[k]))
     return vectors, H[: done + 1, :done], exhausted
+
+
+def _window(op: BoundedOperator, e):
+    """(origin, coefficients) of an atom-free element: a sequence's stored
+    window, or a function's Legendre coefficients from degree 0."""
+    if isinstance(e, Seq):
+        return e.origin, e.values
+    if any(c != 0 for c in e.osc.values()):
+        raise CapabilityError(
+            f"Krylov bases of {op.label} need atom-free data: a Krylov vector "
+            "holding oscillatory atoms x^m e^{iwx} piles up atoms of growing m "
+            "whose coefficients cancel (see ROADMAP.md, open item 4)"
+        )
+    return 0, e.leg
+
+
+def _element(like, lo, values, *sources):
+    """The element of `like`'s space with these coefficients; a function
+    is approximate if `like` or any source is."""
+    if isinstance(like, Seq):
+        return Seq(like.domain, lo, values)
+    out = Func(like.interval, values, {})
+    out.approximate = any(e.approximate for e in (like, *sources))
+    return out
 
 
 def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:

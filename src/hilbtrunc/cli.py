@@ -471,17 +471,14 @@ def _truncation_records(cfg: ExperimentConfig):
             records.append(rec)
         return meta, records
     if tc.solver == "gmres":
-        sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol)
+        sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol, steps=tc.n_list)
     else:
-        sols, kb = solve_cg(op, datum, n_max)
+        sols, kb = solve_cg(op, datum, n_max, steps=tc.n_list)
         if kb is None:  # the zero iterate already meets the stopping floor
             raise ConfigError("cg needs a datum above roundoff (||g|| > 1e-15)")
     meta["trial"] = meta["test"] = kb.label
-    wanted = set(tc.n_list)
-    for i, sol in enumerate(sols):
-        if sol.iterations in wanted or i == len(sols) - 1:
-            rec = evaluate(op, datum, sol, kb, kb, f_exact=f_exact, tracked=tracked)
-            records.append(rec)
+    for sol in sols:
+        records.append(evaluate(op, datum, sol, kb, kb, f_exact=f_exact, tracked=tracked))
     return meta, records
 
 

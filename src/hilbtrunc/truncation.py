@@ -11,6 +11,7 @@ which minimizes the energy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -171,39 +172,87 @@ def solve_gmres(
     g,
     N_max: int,
     tol: float = 1e-10,
+    steps=None,
 ):
     """Residual-minimizing Krylov iterates over K_n(A, g), n = 1..N_max.
 
     Returns (solutions, basis), the basis being the Krylov frame the
-    coordinates refer to.  Stops early once the residual norm reaches
-    the absolute bound `tol` or the Krylov space is exhausted (the list
-    then ends at the last built step).  Residual norms are exact:
-    A x - g lies in the spanned frame, so the Hessenberg least-squares
-    value is the ambient norm.
+    coordinates refer to.  Stops at the first step whose residual norm
+    reaches the absolute bound `tol`, or at the last built step once the
+    Krylov space is exhausted.  The solutions are those of the steps in
+    `steps` up to the stop, plus the stopping step; None means every
+    step.
+
+    One progressive Givens QR of the Hessenberg matrix gives every
+    step's residual norm in O(n) per step.  The least-squares problem
+    min ||H y - ||g|| e_1|| is solved (pivoted QR) only at the requested
+    steps, the last built step, and the steps whose Givens residual is
+    within tol + RANK_RTOL ||g||; `f_N_coeffs` and `eps_norm` of each
+    returned solution come from that solve, and the stopping test reads
+    its residual.  Residual norms are exact: A x - g lies in the
+    spanned frame, so the Hessenberg least-squares value is the ambient
+    norm.
     """
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("gmres needs a nonzero datum")
     basis = krylov_basis(op, g, N_max + 1)
     H = basis.hessenberg
-    steps = H.shape[1]
+    last = H.shape[1]
+    wanted = range(1, last + 1) if steps is None else set(steps)
+    near = givens_residuals(H, gnorm) <= tol + RANK_RTOL * gnorm
     sols = []
-    for n in range(1, steps + 1):
+    for n in range(1, last + 1):
+        if not (n in wanted or n == last or near[n - 1]):
+            continue
         rhs = np.zeros(n + 1, dtype=complex)
         rhs[0] = gnorm
         y = qr_least_squares(H[: n + 1, :n], rhs)
         res = float(np.linalg.norm(H[: n + 1, :n] @ y - rhs))
-        sols.append(
-            ApproxSolution(
-                f_N_coeffs=y,
-                eps_norm=res,
-                solver="gmres",
-                iterations=n,
+        stop = res <= tol
+        if n in wanted or n == last or stop:
+            sols.append(
+                ApproxSolution(
+                    f_N_coeffs=y,
+                    eps_norm=res,
+                    solver="gmres",
+                    iterations=n,
+                )
             )
-        )
-        if res <= tol:
+        if stop:
             break
     return sols, basis
+
+
+def givens_residuals(H: np.ndarray, beta: float) -> np.ndarray:
+    """min ||H[:n+1, :n] y - beta e_1|| for n = 1..m, H of shape (m+1, m).
+
+    Rotation n zeroes the subdiagonal entry of column n against the
+    diagonal entry r_n that the earlier rotations leave there, and the
+    residual shrinks by the modulus of its sine.  r_n is the dot product
+    of column n with one row of the accumulated rotations, updated in
+    O(n) per step (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
+    """
+    m = H.shape[1]
+    row = np.zeros(m + 1, dtype=complex)  # row n of the rotations so far
+    row[0] = 1.0
+    out = np.empty(m)
+    res = float(beta)
+    for n in range(m):
+        r = complex(row[: n + 1] @ H[: n + 1, n])
+        b = complex(H[n + 1, n])
+        rho = math.hypot(abs(r), abs(b))
+        if rho == 0.0:
+            c, s = 1.0, 0.0
+        elif r == 0:
+            c, s = 0.0, b.conjugate() / abs(b)
+        else:
+            c, s = abs(r) / rho, (r / abs(r)) * b.conjugate() / rho
+        row[: n + 1] *= -s.conjugate()
+        row[n + 1] = c
+        res *= abs(s)
+        out[n] = res
+    return out
 
 
 def solve_cg(
@@ -211,6 +260,7 @@ def solve_cg(
     g,
     N_max: int,
     f0=None,
+    steps=None,
 ):
     """Conjugate-gradient iterates: the Galerkin solves on the Arnoldi basis.
 
@@ -223,7 +273,9 @@ def solve_cg(
     solve_gmres.  A T_n that is not positive definite raises
     CapabilityError.  Stops once the residual norm |H[n, n-1] y_n|
     reaches 1e-15 max(||g||, 1) or the basis is exhausted; a vanishing
-    r_0 gives one iteration-0 solution f0 and no basis.
+    r_0 gives one iteration-0 solution f0 and no basis.  The solutions
+    are those of the steps in `steps` up to the stop, plus the last one;
+    None means every step.
     """
     if not (op.self_adjoint and op.positive):
         raise CapabilityError(
@@ -245,8 +297,10 @@ def solve_cg(
         return [sol], None
     basis = krylov_basis(op, r0, N_max + 1)
     H = basis.hessenberg
+    last = H.shape[1]
+    wanted = range(1, last + 1) if steps is None else set(steps)
     sols = []
-    for n in range(1, H.shape[1] + 1):
+    for n in range(1, last + 1):
         T = H[:n, :n]
         try:
             np.linalg.cholesky(0.5 * (T + T.conj().T))
@@ -258,15 +312,17 @@ def solve_cg(
         rhs = np.zeros(n, dtype=complex)
         rhs[0] = rnorm0
         y = np.linalg.solve(T, rhs)
-        sols.append(
-            ApproxSolution(
-                f_N_coeffs=y,
-                eps_norm=float(np.linalg.norm(T @ y - rhs)),
-                solver="cg",
-                iterations=n,
-                element=x0 + lincomb(y, basis.elements(n)),
+        stop = n == last or abs(H[n, n - 1] * y[-1]) <= floor
+        if n in wanted or stop:
+            sols.append(
+                ApproxSolution(
+                    f_N_coeffs=y,
+                    eps_norm=float(np.linalg.norm(T @ y - rhs)),
+                    solver="cg",
+                    iterations=n,
+                    element=x0 + lincomb(y, basis.elements(n)),
+                )
             )
-        )
-        if abs(H[n, n - 1] * y[-1]) <= floor:
+        if stop:
             break
     return sols, basis

@@ -15,10 +15,13 @@ from hilbtrunc.operators import (
     WeightedRightShift,
     constant_law,
     geometric_law,
+    parse_operator,
     power_law,
 )
 from hilbtrunc.bases import (
+    BREAKDOWN_RTOL,
     adversarial_test_basis,
+    arnoldi,
     canonical_basis,
     fourier_basis,
     fourier_mode_number,
@@ -174,6 +177,124 @@ class TestKrylovBasis:
         kb = krylov_basis(RightShift(), Seq.basis_vector(1), 3)
         with pytest.raises(IndexError):
             kb.element(4)
+
+
+def elementwise_arnoldi(op, g, steps, breakdown_rtol=BREAKDOWN_RTOL):
+    """The element-by-element Gram-Schmidt arnoldi used to run: the reference."""
+    vectors = [(1.0 / g.norm()) * g]
+    H = np.zeros((steps + 1, steps), dtype=complex)
+    exhausted = False
+    done = 0
+    for k in range(steps):
+        w = op.apply(vectors[k])
+        pre = w.norm()
+        for i in range(k + 1):
+            hik = inner(vectors[i], w)
+            H[i, k] = hik
+            w = w - hik * vectors[i]
+        hn = w.norm()
+        H[k + 1, k] = hn
+        done = k + 1
+        if hn <= breakdown_rtol * max(pre, 1e-300):
+            exhausted = True
+            break
+        vectors.append((1.0 / hn) * w)
+    return vectors, H[: done + 1, :done], exhausted
+
+
+def bitwise_equal(a, b):
+    """Equal arrays, down to the sign of every zero."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+class LeftShift(RightShift):
+    """The left shift on l2(N): e_1 has an empty image."""
+
+    def apply(self, f):
+        return self.adjoint_apply(f)
+
+
+SEQ_DATUM = np.array([1.0, 0.5j, -0.25, 0.0, 0.125])
+ARNOLDI_PINS = {
+    "volterra": ("volterra", Func.from_poly((0.0, 1.0), [0.3, -1.0, 0.5])),
+    "mult-x": ("mult-x:1,2", Func.from_poly((1.0, 2.0), [0.0, 0.0, 1.0])),
+    "weighted-shift-nat": ("weighted-right-shift:pow:1,1", Seq("nat", 1, SEQ_DATUM)),
+    "weighted-shift-int": ("weighted-right-shift-z:pow1:1,1", Seq("int", -2, SEQ_DATUM)),
+    "right-shift-e2": ("right-shift", Seq.basis_vector(2)),
+    # a copied window keeps -0.0, which the first difference turns into +0.0
+    "right-shift-signed-zeros": (
+        "right-shift",
+        Seq("nat", 3, np.array([1.0, complex(-0.0, -0.0), -0.5, complex(0.0, -0.0)])),
+    ),
+    "mult-seq-breakdown": ("mult-seq:const:3", Seq.basis_vector(1)),
+    "mult-seq-pow": ("mult-seq:pow:1,1", Seq("nat", 1, SEQ_DATUM)),
+    "left-shift-empty-image": (LeftShift(), Seq("nat", 1, [1.0])),
+}
+
+
+class TestArnoldiOnWindows:
+    @pytest.mark.parametrize("steps", [0, 1, 7, 60])
+    @pytest.mark.parametrize("case", sorted(ARNOLDI_PINS))
+    def test_bitwise_equal_to_elementwise_mgs(self, case, steps):
+        """The coefficient windows give H and every vector of the
+        element-by-element recursion bit for bit, signed zeros included."""
+        spec, g = ARNOLDI_PINS[case]
+        op = parse_operator(spec) if isinstance(spec, str) else spec
+        vectors, H, exhausted = arnoldi(op, g, steps)
+        ref_vectors, ref_H, ref_exhausted = elementwise_arnoldi(op, g, steps)
+        assert exhausted == ref_exhausted and len(vectors) == len(ref_vectors)
+        assert H.shape == ref_H.shape and bitwise_equal(H, ref_H)
+        for got, ref in zip(vectors, ref_vectors):
+            assert type(got) is type(ref)
+            if isinstance(ref, Seq):
+                assert got.origin == ref.origin and bitwise_equal(got.values, ref.values)
+            else:
+                assert got.osc == ref.osc == {} and bitwise_equal(got.leg, ref.leg)
+
+    def test_breakdown_cases_break_down(self):
+        assert arnoldi(parse_operator("mult-seq:const:3"), Seq.basis_vector(1), 5)[2]
+        vectors, H, exhausted = arnoldi(LeftShift(), Seq("nat", 1, [1.0]), 5)
+        assert exhausted and len(vectors) == 1 and H.shape == (2, 1)
+
+    def test_approximate_flag_carries_over(self):
+        op = Volterra()
+        g = Func.from_callable(np.exp, op.space[1], degree=6)
+        vectors, _, _ = arnoldi(op, g, 4)
+        assert all(v.approximate for v in vectors)
+        vectors, _, _ = arnoldi(op, Func.from_poly(op.space[1], [1.0]), 4)
+        assert not any(v.approximate for v in vectors)
+
+
+class AtomicVolterra(Volterra):
+    """Integration followed by adding e^{2ix}: images hold an atom."""
+
+    def apply(self, f):
+        return super().apply(f) + Func.from_osc(f.interval, {(0, 2.0): 1.0})
+
+
+class TestKrylovNeedsAtomFreeData:
+    """Krylov vectors of oscillatory data pile up atoms x^m e^{iwx} of
+    growing m whose coefficients cancel; such bases are refused."""
+
+    def test_seed_with_atoms(self):
+        op = Volterra()
+        g = Func.from_poly((0.0, 1.0), [0.0, 1.0]) + Func.from_osc((0.0, 1.0), {(0, 3.0): 0.5})
+        with pytest.raises(CapabilityError, match="atom-free.*ROADMAP"):
+            krylov_basis(op, g, 5)
+
+    def test_image_with_atoms(self):
+        with pytest.raises(CapabilityError, match="atom-free"):
+            krylov_basis(AtomicVolterra(), Func.from_poly((0.0, 1.0), [1.0]), 5)
+
+    def test_zero_atoms_are_no_atoms(self):
+        op = Volterra()
+        g = Func((0.0, 1.0), np.array([1.0, 0.5]), {(0, 3.0): 0.0})
+        kb = krylov_basis(op, g, 5)
+        assert kb.size == 5 and all(not kb.element(n).osc for n in range(1, 6))
 
 
 class TestSvdBases:

@@ -67,9 +67,9 @@ def entrywise(op, trial, test, N, g):
 @pytest.mark.parametrize("operator,trial,test", CASES)
 def test_compress_matches_entrywise_inner(operator, trial, test, N):
     """Every operator kind and basis pair the CLI accepts.  Krylov vectors
-    of an oscillatory datum carry atoms x^m e^{iwx} of growing m whose
-    coefficients cancel, which no summation order computes accurately,
-    so Krylov bases get the CLI's polynomial datum only.  An adversarial
+    of an oscillatory datum would carry atoms x^m e^{iwx} of growing m
+    whose coefficients cancel, so Krylov bases refuse such data and get
+    the CLI's polynomial datum only.  An adversarial
     A_N vanishes by design: its roundoff is measured against the images'
     norms, which bound every entry."""
     op = parse_operator(operator)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hilbtrunc.core import CapabilityError, gauss_legendre, singular_values
+from hilbtrunc.core import RANK_RTOL, CapabilityError, gauss_legendre, singular_values
 from hilbtrunc.elements import Func, Seq, inner, lincomb
 from hilbtrunc.operators import (
     MultiplicationSeq,
@@ -18,9 +18,11 @@ from hilbtrunc.operators import (
     power_law,
 )
 from hilbtrunc.bases import canonical_basis, fourier_basis, krylov_basis, legendre_basis, svd_bases
+import hilbtrunc.truncation as truncation
 from hilbtrunc.truncation import (
     ApproxSolution,
     compress,
+    givens_residuals,
     lift,
     solve_cg,
     solve_direct,
@@ -299,6 +301,102 @@ class TestSolveGmres:
             solve_gmres(RightShift(), Seq.zero(), 5)
 
 
+GMRES_PROBLEMS = {
+    "volterra": (Volterra(), Func.from_poly((0.0, 1.0), [0, 0, 0.5])),
+    "mult-x": (MultiplicationX((1.0, 2.0)), Func.from_poly((1.0, 2.0), [0, 0, 1])),
+    "mult-x-wide": (MultiplicationX((0.5, 1.5)), Func.from_poly((0.5, 1.5), [0.3, -1.0, 0.5])),
+    "weighted-shift": (WeightedRightShift(power_law(1.0, 1.0)), Seq.basis_vector(1)),
+    "mult-seq": (MultiplicationSeq(power_law(1.0, 1.0)), Seq("nat", 1, np.array([1.0, 0.5j, -0.25]))),
+}
+
+
+@pytest.fixture
+def lstsq_steps(monkeypatch):
+    """The sizes n of the Hessenberg blocks solve_gmres solves."""
+    seen = []
+    original = truncation.qr_least_squares
+
+    def counted(A, b):
+        seen.append(A.shape[1])
+        return original(A, b)
+
+    monkeypatch.setattr(truncation, "qr_least_squares", counted)
+    return seen
+
+
+class TestGmresSteps:
+    @pytest.mark.parametrize("name", ["volterra", "mult-x"])
+    def test_givens_residuals_match_least_squares(self, name):
+        """Every step up to N = 60: the progressive Givens residual and
+        the residual of the pivoted-QR solve agree to 1e-12 ||g||."""
+        op, g = GMRES_PROBLEMS[name]
+        sols, kb = solve_gmres(op, g, 60, tol=0.0)
+        assert [s.iterations for s in sols] == list(range(1, 61))
+        givens = givens_residuals(kb.hessenberg, g.norm())
+        for sol in sols:
+            assert abs(givens[sol.iterations - 1] - sol.eps_norm) <= 1e-12 * g.norm()
+
+    def test_givens_residuals_against_dense_least_squares(self):
+        rng = np.random.default_rng(7)
+        m = 12
+        H = np.triu(rng.standard_normal((m + 1, m)) + 1j * rng.standard_normal((m + 1, m)), -1)
+        H[3, 2] = 0.0  # a zero subdiagonal entry
+        for n, res in enumerate(givens_residuals(H, 2.5), start=1):
+            rhs = np.zeros(n + 1, dtype=complex)
+            rhs[0] = 2.5
+            y = np.linalg.lstsq(H[: n + 1, :n], rhs, rcond=None)[0]
+            assert abs(res - np.linalg.norm(H[: n + 1, :n] @ y - rhs)) <= 1e-13
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.0])
+    @pytest.mark.parametrize("name", sorted(GMRES_PROBLEMS))
+    def test_steps_are_the_requested_ones_and_the_stop(self, name, tol):
+        """steps= returns the requested steps up to the stop plus the
+        stopping step, each the same solve as in the full sweep, and stops
+        where the full sweep stops."""
+        op, g = GMRES_PROBLEMS[name]
+        full, _ = solve_gmres(op, g, 60, tol=tol)
+        stop = full[-1].iterations
+        by_step = {s.iterations: s for s in full}
+        steps = (1, 2, 5, 10, 20, 50)
+        some, _ = solve_gmres(op, g, 60, tol=tol, steps=steps)
+        assert [s.iterations for s in some] == sorted({n for n in steps if n <= stop} | {stop})
+        for sol in some:
+            ref = by_step[sol.iterations]
+            assert np.array_equal(sol.f_N_coeffs, ref.f_N_coeffs)
+            assert sol.eps_norm == ref.eps_norm
+
+    @pytest.mark.parametrize("name", sorted(GMRES_PROBLEMS))
+    def test_stop_does_not_depend_on_steps(self, name):
+        op, g = GMRES_PROBLEMS[name]
+        for tol in (1e-4, 1e-8, 1e-12):
+            stops = {
+                solve_gmres(op, g, 60, tol=tol, steps=steps)[0][-1].iterations
+                for steps in (None, (1, 2, 5, 10, 20, 50), (), (60,))
+            }
+            assert len(stops) == 1
+
+    @pytest.mark.parametrize(
+        "name,n_max,steps", [("volterra", 240, (30, 60, 120, 240)), ("mult-x", 60, (7, 15))]
+    )
+    def test_solves_only_requested_and_near_steps(self, lstsq_steps, name, n_max, steps):
+        """Least squares runs at the requested steps and where the Givens
+        residual is within tol + RANK_RTOL ||g||, up to the stop."""
+        op, g = GMRES_PROBLEMS[name]
+        sols, kb = solve_gmres(op, g, n_max, tol=1e-10, steps=steps)
+        stop = sols[-1].iterations
+        assert stop < n_max  # both converge: volterra at step 191
+        givens = givens_residuals(kb.hessenberg, g.norm())
+        near = {n for n in range(1, stop + 1) if givens[n - 1] <= 1e-10 + RANK_RTOL * g.norm()}
+        assert lstsq_steps == sorted({n for n in steps if n <= stop} | near)
+        assert lstsq_steps[-1] == stop and len(lstsq_steps) <= len(steps) + 3
+
+    def test_exhausted_space_returns_its_last_step(self):
+        op = MultiplicationSeq(power_law(1.0, 1.0))
+        g = Seq("nat", 1, np.array([1.0, 0.5j, -0.25]))
+        sols, kb = solve_gmres(op, g, 20, tol=0.0, steps=(1,))
+        assert kb.exhausted and [s.iterations for s in sols] == [1, kb.hessenberg.shape[1]]
+
+
 class TestSolveCg:
     def setup_method(self):
         self.op = MultiplicationX((1.0, 2.0))
@@ -389,6 +487,17 @@ class TestSolveCg:
             assert len(sol.f_N_coeffs) == sol.iterations
             rebuilt = lift(replace(sol, element=None), kb)
             assert (rebuilt - sol.element).norm() < 1e-13
+
+    def test_steps_are_the_requested_ones_and_the_stop(self):
+        full, _ = solve_cg(self.op, self.g, 40)
+        stop = full[-1].iterations
+        some, _ = solve_cg(self.op, self.g, 40, steps=(2, 4, 8, 16, 32))
+        assert [s.iterations for s in some] == sorted({n for n in (2, 4, 8, 16, 32) if n <= stop} | {stop})
+        by_step = {s.iterations: s for s in full}
+        for sol in some:
+            ref = by_step[sol.iterations]
+            assert np.array_equal(sol.f_N_coeffs, ref.f_N_coeffs)
+            assert np.array_equal(sol.element.leg, ref.element.leg)
 
     def test_basis_is_built_on_the_initial_residual(self):
         f0 = Func.from_poly((1.0, 2.0), [1.0])
