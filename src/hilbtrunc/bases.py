@@ -29,12 +29,18 @@ class OrthonormalBasis:
     adversarial) report their length and refuse larger indices.
     Generated elements are memoized; the cache is plain and should not
     be shared across threads mid-population.
+
+    `place` is set on coordinate frames, whose n-th element is a single
+    ambient coordinate (a Legendre degree or a sequence index): it maps
+    N coefficients to their combination of the first N elements by
+    putting each at its coordinate, with the values `lincomb` gives.
     """
 
     label: str
     space: tuple
     generator: Callable[[int], object]
     size: Optional[int] = None
+    place: Optional[Callable[[np.ndarray], object]] = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def element(self, n: int):
@@ -69,16 +75,29 @@ def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
     """Canonical sequence basis; Z-indexed enumeration is 0, +1, -1, +2, ..."""
     if domain == "nat":
         gen = lambda n: Seq.basis_vector(n, "nat")
+
+        def place(coeffs):
+            return Seq("nat", 1, np.array(coeffs, dtype=complex))
+
     elif domain == "int":
-        def gen(n):
-            k = n // 2 if n % 2 == 0 else -(n - 1) // 2
-            return Seq.basis_vector(k, "int")
+        gen = lambda n: Seq.basis_vector(fourier_mode_number(n), "int")
+
+        def place(coeffs):
+            # the first N indices 0, +1, -1, ... fill one window
+            n = np.arange(1, len(coeffs) + 1)
+            k = np.where(n % 2, -(n // 2), n // 2)  # fourier_mode_number(n)
+            lo = int(k.min())
+            values = np.zeros(len(n), dtype=complex)
+            values[k - lo] = coeffs
+            return Seq("int", lo, values)
+
     else:
         raise ValueError(f"unknown sequence domain {domain!r}")
     return OrthonormalBasis(
         label=f"canonical[{domain}]",
         space=("seq", domain),
         generator=gen,
+        place=place,
     )
 
 
@@ -97,10 +116,14 @@ def legendre_basis(interval) -> OrthonormalBasis:
         coeffs[n - 1] = 1.0
         return Func.from_leg((a, b), coeffs)
 
+    def place(coeffs):
+        return Func((a, b), np.array(coeffs, dtype=complex), {})
+
     return OrthonormalBasis(
         label=f"legendre[{a:g},{b:g}]",
         space=("func", (a, b)),
         generator=gen,
+        place=place,
     )
 
 

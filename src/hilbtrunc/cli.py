@@ -14,6 +14,7 @@ import configparser
 import io
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -532,19 +533,10 @@ def _noise_csv(cfg: ExperimentConfig) -> str:
     columns = ["N", "alpha", "beta", "res_sq", "err_sq"]
     buf.write(f"# columns = {','.join(columns)}\n")
     buf.write(",".join(columns) + "\n")
-    for i, N in enumerate(series.N):
-        buf.write(
-            ",".join(
-                [
-                    str(int(N)),
-                    _fmt(series.alpha[i]),
-                    _fmt(series.beta[i]),
-                    _fmt(series.res_sq[i]),
-                    _fmt(series.err_sq[i]),
-                ]
-            )
-            + "\n"
-        )
+    # the columns as Python numbers: repr is _fmt without a numpy scalar per cell
+    values = (series.N, series.alpha, series.beta, series.res_sq, series.err_sq)
+    for N, *cells in zip(*(v.tolist() for v in values)):
+        buf.write(f"{N},{','.join(map(repr, cells))}\n")
     return buf.getvalue()
 
 
@@ -690,7 +682,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hilbtrunc",
         description="truncate inverse linear problems and track their convergence",
@@ -709,7 +703,11 @@ def main(argv=None) -> int:
     p_demo.add_argument("name", help="|".join(DEMOS))
     p_demo.add_argument("--out", default=None, help="override report path")
     sub.add_parser("list-presets", help="list presets and demos")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "list-presets":

@@ -84,11 +84,16 @@ def qr_least_squares(A: np.ndarray, b) -> np.ndarray:
 
     For square nonsingular A this is the exact solution.  Rank decisions
     use RANK_RTOL relative to the largest singular value; in the
-    rank-deficient case the minimum-norm solution is returned.
+    rank-deficient case the minimum-norm solution is returned.  A zero
+    b (with a finite A) has the zero minimum-norm solution, returned
+    without a factorization.
     """
     b = np.asarray(b).reshape(-1)
     if A.shape[0] != len(b):
         raise ValueError(f"dimension mismatch: A has {A.shape[0]} rows, b has {len(b)}")
+    if not b.any() and np.isfinite(A).all():
+        gelsy = scipy.linalg.get_lapack_funcs("gelsy", (A, b))
+        return np.zeros(A.shape[1], dtype=gelsy.dtype)
     x, _, _, _ = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")
     return x
 

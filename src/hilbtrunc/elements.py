@@ -38,6 +38,7 @@ from .core import SpaceMismatchError, gauss_legendre
 _BLOCK = 32
 _MOMENT_MEMO = 1 << 15
 _TABLE_MEMO = 64
+_IOSC_MEMO = 1 << 14
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -119,8 +120,9 @@ def monomial_leg(interval, m: int) -> np.ndarray:
 # oscillatory primitives x^m e^{iwx}
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=_IOSC_MEMO)
 def iosc(interval, m: int, w: float) -> complex:
-    """Exact integral of x^m e^{iwx} over the interval."""
+    """Exact integral of x^m e^{iwx} over the interval (memoized)."""
     a, b = interval
     if w == 0.0:
         return (b ** (m + 1) - a ** (m + 1)) / (m + 1)
@@ -302,28 +304,41 @@ class Func:
         return out
 
     def inner(self, other: "Func") -> complex:
-        """L2 inner product, antilinear in self."""
+        """L2 inner product, antilinear in self.
+
+        The oscillatory terms go through the Gram blocks of
+        `inner_matrix`: the moments of the Legendre degrees against each
+        atom, and one iosc per distinct pair of m1 + m2 and w2 - w1.
+        """
         self._check(other)
         total = 0.0 + 0.0j
         nmin = min(len(self.leg), len(other.leg))
         if nmin:
             total += np.vdot(self.leg[:nmin], other.leg[:nmin])
-        for (m2, w2), c2 in other.osc.items():
-            if c2 != 0 and len(self.leg):
-                moments = leg_osc_integral(self.interval, len(self.leg) - 1, m2, w2)
-                total += c2 * np.vdot(self.leg, moments)
-        for (m1, w1), c1 in self.osc.items():
-            if c1 == 0:
-                continue
-            if len(other.leg):
-                moments = leg_osc_integral(self.interval, len(other.leg) - 1, m1, w1)
-                total += np.conj(c1) * np.vdot(moments, other.leg)
-            for (m2, w2), c2 in other.osc.items():
-                if c2 != 0:
-                    total += np.conj(c1) * c2 * iosc(
-                        self.interval, m1 + m2, w2 - w1
-                    )
-        return complex(total)
+        left = [(key, c) for key, c in self.osc.items() if c != 0]
+        right = [(key, c) for key, c in other.osc.items() if c != 0]
+        if not (left or right):
+            return complex(total)
+        atoms1, c1 = zip(*left) if left else ((), ())
+        atoms2, c2 = zip(*right) if right else ((), ())
+        c1, c2 = np.conj(c1), np.array(c2)
+        # the terms are added one after another: self's Legendre part
+        # against each atom of other, then for each atom of self, other's
+        # Legendre part and each atom of other
+        terms = [np.array([total])]
+        if right and len(self.leg):
+            moments = _moments(self.interval, atoms2, len(self.leg))
+            terms.append(c2 * (self.leg.conj() @ moments))
+        rows = []
+        if left and len(other.leg):
+            moments = _moments(self.interval, atoms1, len(other.leg))
+            rows.append(c1 * (other.leg @ moments.conj()))
+        if left and right:
+            gram = _atom_gram(self.interval, atoms1, atoms2)
+            rows.append(c1[:, None] * c2[None, :] * gram)
+        if rows:
+            terms.append(np.column_stack(rows).ravel())
+        return complex(np.cumsum(np.concatenate(terms))[-1])
 
     def norm(self) -> float:
         if not self.osc:

@@ -118,10 +118,16 @@ def compress(
 
 
 def lift(sol: ApproxSolution, trial: OrthonormalBasis):
-    """Hat-lift: the ambient element whose first N trial coefficients are f^(N)."""
+    """Hat-lift: the ambient element whose first N trial coefficients are f^(N).
+
+    A coordinate frame (Legendre, canonical) places the coefficients at
+    its coordinates; any other trial family is summed by `lincomb`.
+    """
     if sol.element is not None:
         return sol.element
     coeffs = sol.f_N_coeffs
+    if trial.place is not None:
+        return trial.place(coeffs)
     return lincomb(coeffs, trial.elements(len(coeffs)))
 
 

@@ -182,6 +182,23 @@ class TestMain:
         assert main(["demo", "bad-truncation", "--out", str(tmp_path / "r.txt")]) == 0
         assert (tmp_path / "r.txt").exists()
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        """Calls share one parser; an override given to one call does not
+        reach the next, and argparse still rejects a bad argv with 2."""
+        from hilbtrunc.cli import _parser
+
+        assert _parser() is _parser()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["run", "mult-g2", "--n-list", "3,4", "--solver", "gmres", "--out", str(first)]
+        assert main(argv) == 0
+        assert main(["run", "mult-g2", "--n-list", "3,4", "--out", str(second)]) == 0
+        assert read_csv(first)[0]["solver"] == "gmres"
+        assert read_csv(second)[0]["solver"] == "qr"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["run"])
+            assert exc.value.code == 2
+
 
 class TestConfigValueErrors:
     def test_bad_operator_string_exit_two(self, tmp_path):
@@ -269,6 +286,29 @@ class TestConfigValueErrors:
             assert main(["run", str(cfg), "--out", str(out)]) == 0
         meta, _, _ = read_csv(out)
         assert meta["solvable"] == "no"
+
+    @pytest.mark.parametrize("sigma_law", ["geom:1,0.9", "pow:1,1"])
+    def test_noise_rows_are_the_cells_formatted_one_by_one(self, tmp_path, sigma_law):
+        """Rows written from whole columns equal `_fmt` of each numpy
+        scalar, inf included."""
+        from hilbtrunc.cli import _build_law, _fmt
+        from hilbtrunc.diagnostics import NoiseModel, noise_series
+
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(
+            f"[noise]\nsigma_law = {sigma_law}\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "n_max = 60\n[output]\ncsv = out.csv\n"
+        )
+        out = tmp_path / "o.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        laws = (sigma_law, "pow:1,2", "pow:1,1.5")
+        series = noise_series(NoiseModel(*map(_build_law, laws)), 60)
+        want = [
+            [str(int(series.N[i]))]
+            + [_fmt(c[i]) for c in (series.alpha, series.beta, series.res_sq, series.err_sq)]
+            for i in range(len(series.N))
+        ]
+        assert read_csv(out)[2] == want
 
 
 MATRIX_OPERATORS = {

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hilbtrunc.core import gauss_legendre, qr_least_squares, singular_values
 
@@ -114,6 +115,39 @@ class TestQrLeastSquares:
         A = np.eye(3)
         with pytest.raises(ValueError):
             qr_least_squares(A, np.ones(4))
+
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide", "rank-deficient"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.int64])
+    def test_zero_datum_skips_the_factorization(self, monkeypatch, shape, dtype):
+        """A zero b has the zero minimum-norm solution: the same shape and
+        dtype as gelsy's, and no call to scipy.linalg.lstsq."""
+        rng = np.random.default_rng(3)
+        m, n = {"square": (5, 5), "tall": (7, 3), "wide": (3, 7), "rank-deficient": (6, 6)}[shape]
+        A = rng.standard_normal((m, n)) * 4
+        if dtype is np.complex128:
+            A = A + 1j * rng.standard_normal((m, n))
+        if shape == "rank-deficient":
+            A[:, 1] = A[:, 0]
+            A[:, -1] = 0
+        A = A.astype(dtype)
+        b = np.zeros(m, dtype=dtype)
+        b[::2] = -0.0
+        want = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")[0]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called for a zero datum")
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", refused)
+        x = qr_least_squares(A, b)
+        assert x.shape == want.shape == (n,)
+        assert x.dtype == want.dtype
+        assert not x.any()
+
+    def test_zero_datum_with_non_finite_matrix_still_raises(self):
+        A = np.eye(3)
+        A[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            qr_least_squares(A, np.zeros(3))
 
 
 class TestSingularValues:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hilbtrunc.elements as elements
 from hilbtrunc.core import SpaceMismatchError, gauss_legendre
 from hilbtrunc.elements import (
     Func,
@@ -121,6 +122,86 @@ class TestFunc:
         f = Func((0.0, 1.0), np.array([1.0, 0.0, 0.0]), {(0, math.pi): 0.0})
         g = f.compact()
         assert len(g.leg) == 1 and not g.osc
+
+
+def pair_loop_inner(u, v):
+    """The inner product with one iosc call per pair of atoms: the
+    reference the Gram-block path of Func.inner replaces."""
+    total = 0.0 + 0.0j
+    nmin = min(len(u.leg), len(v.leg))
+    if nmin:
+        total += np.vdot(u.leg[:nmin], v.leg[:nmin])
+    for (m2, w2), c2 in v.osc.items():
+        if c2 != 0 and len(u.leg):
+            moments = leg_osc_integral(u.interval, len(u.leg) - 1, m2, w2)
+            total += c2 * np.vdot(u.leg, moments)
+    for (m1, w1), c1 in u.osc.items():
+        if c1 == 0:
+            continue
+        if len(v.leg):
+            moments = leg_osc_integral(u.interval, len(v.leg) - 1, m1, w1)
+            total += np.conj(c1) * np.vdot(moments, v.leg)
+        for (m2, w2), c2 in v.osc.items():
+            if c2 != 0:
+                total += np.conj(c1) * c2 * iosc(u.interval, m1 + m2, w2 - w1)
+    return complex(total)
+
+
+def random_func(rng, interval, degrees, atoms):
+    """A function with `degrees` Legendre coefficients and up to `atoms`
+    atoms x^m e^{iwx}, m <= 3, on a few shared frequencies (so that pair
+    sums repeat and w2 - w1 can vanish), some with zero coefficients."""
+    a, b = interval
+    freqs = 2 * math.pi / (b - a) * np.array([-3, -1, 1, 2, 5, 40])
+    osc = {}
+    for _ in range(atoms):
+        key = (int(rng.integers(0, 4)), float(rng.choice(freqs)))
+        osc[key] = complex(rng.standard_normal(), rng.standard_normal())
+        if rng.random() < 0.2:
+            osc[key] = 0.0
+    leg = rng.standard_normal(degrees) + 1j * rng.standard_normal(degrees)
+    return Func(interval, leg, osc)
+
+
+class TestFuncAtomGram:
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0), (1.0, 2.5)])
+    def test_matches_the_pair_loop(self, interval):
+        rng = np.random.default_rng(int(10 * interval[1]))
+        shapes = [(0, 0), (0, 3), (1, 0), (4, 1), (6, 8), (40, 12), (0, 20)]
+        for du, au in shapes:
+            for dv, av in shapes:
+                u = random_func(rng, interval, du, au)
+                v = random_func(rng, interval, dv, av)
+                ref = pair_loop_inner(u, v)
+                scale = math.sqrt(
+                    abs(pair_loop_inner(u, u)) * abs(pair_loop_inner(v, v))
+                )
+                assert abs(u.inner(v) - ref) <= 1e-13 * max(scale, 1e-300)
+
+    def test_one_iosc_per_distinct_pair_sum(self, monkeypatch):
+        """Atoms (m, w) pair into iosc(m1 + m2, w2 - w1); repeated keys
+        are evaluated once per inner product."""
+        keys = []
+
+        def counted(interval, m, w):
+            keys.append((m, w))
+            return iosc(interval, m, w)
+
+        monkeypatch.setattr(elements, "iosc", counted)
+        w = 2 * math.pi
+        u = Func((0.0, 1.0), np.zeros(0), {(0, w): 1.0, (1, 2 * w): 1.0, (0, 3 * w): 2.0})
+        v = Func((0.0, 1.0), np.zeros(0), {(1, w): 1.0, (0, 2 * w): 1.0j, (1, 0.5): 0.0})
+        u.inner(v)
+        # the 3 x 2 nonzero pairs give 5 distinct (m1 + m2, w2 - w1)
+        want = {(1, 0.0), (0, w), (2, -w), (1, -2 * w), (0, -w)}
+        assert len(keys) == 5 and set(keys) == want
+
+    def test_iosc_is_memoized(self):
+        iosc.cache_clear()
+        iosc((0.0, 1.0), 2, 3.5)
+        iosc((0.0, 1.0), 2, 3.5)
+        info = iosc.cache_info()
+        assert (info.hits, info.misses) == (1, 1) and info.maxsize is not None
 
 
 class TestSeq:

@@ -17,7 +17,14 @@ from hilbtrunc.operators import (
     constant_law,
     power_law,
 )
-from hilbtrunc.bases import canonical_basis, fourier_basis, krylov_basis, legendre_basis, svd_bases
+from hilbtrunc.bases import (
+    adversarial_test_basis,
+    canonical_basis,
+    fourier_basis,
+    krylov_basis,
+    legendre_basis,
+    svd_bases,
+)
 import hilbtrunc.truncation as truncation
 from hilbtrunc.truncation import (
     ApproxSolution,
@@ -158,6 +165,82 @@ class TestLift:
             np.testing.assert_allclose(
                 el.eval_at(rule.nodes).real, rule.nodes, atol=1e-12
             )
+
+
+def signed_zero_coeffs(N, seed):
+    """Random complex coefficients with every kind of signed zero mixed in."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for k in range(0, N, 3):
+        c[k] = zeros[k % len(zeros)]
+    if N > 1:
+        c[-1] = complex(-0.0, 2.5)  # a signed zero in one part only
+    return c
+
+
+COORDINATE_FRAMES = {
+    "legendre[0,1]": lambda: legendre_basis((0.0, 1.0)),
+    "legendre[-1.5,2.25]": lambda: legendre_basis((-1.5, 2.25)),
+    "canonical[nat]": lambda: canonical_basis("nat"),
+    "canonical[int]": lambda: canonical_basis("int"),
+}
+
+
+class TestLiftPlacement:
+    @pytest.mark.parametrize("N", [1, 7, 100])
+    @pytest.mark.parametrize("frame", list(COORDINATE_FRAMES))
+    def test_placement_equals_lincomb(self, frame, N):
+        """A coordinate frame's lift places the coefficients; the sum over
+        the frame's elements only adds +-0 to each, so the two agree
+        entry by entry (==, blind to the sign of a zero)."""
+        basis = COORDINATE_FRAMES[frame]()
+        assert basis.place is not None
+        coeffs = signed_zero_coeffs(N, seed=N)
+        placed = lift(ApproxSolution(coeffs, 0.0, "qr", 0), basis)
+        summed = lincomb(coeffs, basis.elements(N))
+        assert type(placed) is type(summed)
+        if isinstance(summed, Seq):
+            assert (placed.domain, placed.origin) == (summed.domain, summed.origin)
+            got, want = placed.values, summed.values
+        else:
+            assert placed.interval == summed.interval
+            assert placed.osc == summed.osc == {}
+            assert placed.approximate is summed.approximate is False
+            got, want = placed.leg, summed.leg
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.all(got == want)
+
+    def test_placement_copies_the_coefficients(self):
+        coeffs = np.array([1.0, 2.0j])
+        el = lift(ApproxSolution(coeffs, 0.0, "qr", 0), legendre_basis((0.0, 1.0)))
+        coeffs[0] = 7.0
+        assert el.leg[0] == 1.0
+
+    def test_other_bases_go_through_lincomb(self, monkeypatch):
+        op = Volterra()
+        g = Func.from_poly((0.0, 1.0), [0, 0, 0.5])
+        legendre = legendre_basis((0.0, 1.0))
+        bases = [
+            fourier_basis((0.0, 1.0)),
+            krylov_basis(op, g, 6),
+            *svd_bases(op),
+            adversarial_test_basis(op, legendre, 3, 6),
+        ]
+        calls = []
+
+        def counted(coeffs, elements):
+            calls.append(len(elements))
+            return lincomb(coeffs, elements)
+
+        monkeypatch.setattr(truncation, "lincomb", counted)
+        for basis in bases:
+            assert basis.place is None
+            lift(ApproxSolution(signed_zero_coeffs(3, seed=1), 0.0, "qr", 0), basis)
+        assert calls == [3] * len(bases)
+        for frame in COORDINATE_FRAMES.values():
+            lift(ApproxSolution(np.ones(3), 0.0, "qr", 0), frame())
+        assert calls == [3] * len(bases)
 
 
 class TestSolveDirect:
