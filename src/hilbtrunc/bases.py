@@ -84,10 +84,9 @@ def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
 
         def place(coeffs):
             # the first N indices 0, +1, -1, ... fill one window
-            n = np.arange(1, len(coeffs) + 1)
-            k = np.where(n % 2, -(n // 2), n // 2)  # fourier_mode_number(n)
+            k = fourier_mode_number(np.arange(1, len(coeffs) + 1))
             lo = int(k.min())
-            values = np.zeros(len(n), dtype=complex)
+            values = np.zeros(len(k), dtype=complex)
             values[k - lo] = coeffs
             return Seq("int", lo, values)
 
@@ -127,9 +126,12 @@ def legendre_basis(interval) -> OrthonormalBasis:
     )
 
 
-def fourier_mode_number(n: int) -> int:
-    """Enumeration of Fourier modes: 1, 2, 3, 4, 5, ... -> 0, +1, -1, +2, -2, ..."""
-    return n // 2 if n % 2 == 0 else -(n - 1) // 2
+def fourier_mode_number(n):
+    """Enumeration of Fourier modes: 1, 2, 3, 4, 5, ... -> 0, +1, -1, +2, -2, ...
+
+    Takes an int or an integer array, elementwise.
+    """
+    return (n // 2) * (1 - 2 * (n % 2))
 
 
 def fourier_basis(interval) -> OrthonormalBasis:

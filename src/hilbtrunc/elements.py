@@ -324,7 +324,10 @@ class Func:
         c1, c2 = np.conj(c1), np.array(c2)
         # the terms are added one after another: self's Legendre part
         # against each atom of other, then for each atom of self, other's
-        # Legendre part and each atom of other
+        # Legendre part and each atom of other.  That is the order of a
+        # pair-by-pair loop.  Summed as three matrix products instead, the
+        # error and residual norms of Fourier-trial sweeps moved by up to
+        # 5 ulp from that loop's; in this order by up to 2
         terms = [np.array([total])]
         if right and len(self.leg):
             moments = _moments(self.interval, atoms2, len(self.leg))

@@ -74,6 +74,8 @@ class TestLegendreBasis:
 class TestFourierBasis:
     def test_enumeration_is_symmetric(self):
         assert [fourier_mode_number(n) for n in range(1, 8)] == [0, 1, -1, 2, -2, 3, -3]
+        assert all(type(fourier_mode_number(n)) is int for n in range(1, 8))
+        assert fourier_mode_number(np.arange(1, 8)).tolist() == [0, 1, -1, 2, -2, 3, -3]
 
     def test_first_element_is_constant(self):
         el = fourier_basis((1.0, 2.0)).element(1)
