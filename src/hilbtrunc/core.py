@@ -3,8 +3,8 @@
 Gauss-Legendre quadrature rules, dense minimum-norm least squares, and
 singular values, on plain numpy arrays.  Quadrature rules are immutable
 after construction and safe to share across threads; the operations are
-pure functions.  The reference rules on [-1, 1] are memoized per order in
-a bounded cache of read-only arrays.
+pure functions.  The mapped rules are memoized per order and interval in
+a bounded cache.
 """
 
 from __future__ import annotations
@@ -52,16 +52,8 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=64)
-def _reference_rule(order: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with `order` points, mapped affinely to [a, b].
+    """Gauss-Legendre rule with `order` points, mapped affinely to [a, b] (memoized).
 
     Exact for polynomials of degree <= 2*order - 1.
 
@@ -74,7 +66,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
-    x, w = _reference_rule(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * w, order)
 

@@ -9,10 +9,10 @@ Two concrete representations are used throughout:
   coefficients of the L2-normalized shifted Legendre polynomials plus a
   sparse combination of oscillatory terms x^m e^{i w x} (w != 0).  The
   class is closed under the model operators (integration from a,
-  multiplication by x).  Legendre x Legendre and oscillatory x
-  oscillatory inner products have closed forms.  The Legendre x
-  oscillatory moments come from Gauss-Legendre quadrature sized to be
-  exact to roundoff: each is computed once, in a memoized block of
+  multiplication by x).  All inner products have closed forms.  The
+  Legendre x oscillatory moments come from the Fourier transform of a
+  Legendre polynomial, 2 i^k j_k(z) (DLMF 18.17(v)), and the Legendre
+  three-term recurrence: each is computed once, in a memoized block of
   consecutive degrees, so every caller sees the same value.
 
 A coordinate block stacks a list of elements of one space as the rows
@@ -23,6 +23,7 @@ combination is one row reduction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,15 +31,19 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse
+from scipy.special import jv
 
-from .core import SpaceMismatchError, gauss_legendre
+from . import core
+from .core import SpaceMismatchError
 
 # Legendre x oscillatory moments are memoized in blocks of this many
 # consecutive degrees; the bounded memos hold read-only arrays.
 _BLOCK = 32
 _MOMENT_MEMO = 1 << 15
-_TABLE_MEMO = 64
+_MAP_MEMO = 256
 _IOSC_MEMO = 1 << 14
+
+_TINY = 1e-280  # the smallest |j_k(z)| kept to full precision
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -122,36 +127,12 @@ def monomial_leg(interval, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=_IOSC_MEMO)
 def iosc(interval, m: int, w: float) -> complex:
-    """Exact integral of x^m e^{iwx} over the interval (memoized)."""
+    """Exact integral of x^m e^{iwx} over the interval (memoized): sqrt(b - a)
+    times the degree-0 moment, its one row of `_moment_map` summed in Python."""
     a, b = interval
-    if w == 0.0:
-        return (b ** (m + 1) - a ** (m + 1)) / (m + 1)
-    big = max(abs(a), abs(b))
-    if abs(w) * big < 0.5:
-        # short series in (iw); converges fast for small phases
-        total = 0.0 + 0.0j
-        term_pow = 1.0 + 0.0j
-        for k in range(0, 80):
-            total += term_pow * (b ** (m + k + 1) - a ** (m + k + 1)) / (m + k + 1)
-            # stop on the term's magnitude bound, relative to big^(m+1):
-            # the term itself vanishes for odd m + k on symmetric intervals
-            if abs(term_pow) * big ** k < 1e-17:
-                break
-            term_pow *= 1j * w / (k + 1)
-        return total
-    if m > 3.0 * abs(w) * (b - a):
-        # recursion would amplify roundoff; integrate numerically instead
-        order = 48 + m // 2 + int(0.5 * abs(w) * (b - a))
-        rule = gauss_legendre(order, a, b)
-        vals = rule.nodes ** m * np.exp(1j * w * rule.nodes)
-        return complex(np.sum(rule.weights * vals))
-    iw = 1j * w
-    ea = np.exp(1j * w * a)
-    eb = np.exp(1j * w * b)
-    val = (eb - ea) / iw
-    for k in range(1, m + 1):
-        val = (b ** k * eb - a ** k * ea) / iw - (k / iw) * val
-    return complex(val)
+    row = _moment_map(interval, 0, 0, m)[0].tolist()
+    bessel = _spherical_bessel(0, m, 0.5 * (b - a) * w)
+    return math.sqrt(b - a) * cmath.exp(0.5j * (a + b) * w) * sum(r * v for r, v in zip(row, bessel))
 
 
 def osc_antiderivative(m: int, w: float):
@@ -164,32 +145,71 @@ def osc_antiderivative(m: int, w: float):
     return c
 
 
-@lru_cache(maxsize=_TABLE_MEMO)
-def _reference_legendre(order: int, block: int) -> np.ndarray:
-    """The block's orthonormal Legendre rows on [-1, 1] at the order's nodes;
-    times sqrt(2 / (b - a)) they are the rows on [a, b] at the mapped nodes."""
-    top = _BLOCK * (block + 1)
-    nodes = gauss_legendre(order, -1.0, 1.0).nodes
-    # a copy: a view would keep every lower degree's row alive in the memo
-    out = legendre_values((-1.0, 1.0), top - 1, nodes)[top - _BLOCK :].copy()
-    out.flags.writeable = False
-    return out
+def _spherical_bessel(lo: int, hi: int, z: float) -> list:
+    """[j_k(z) for k = lo..hi] by j_{k-1} + j_{k+1} = (2k+1)/z j_k: up to k = z
+    upward from j_0 = sin z / z and j_1 = (j_0 - cos z) / z, past it downward
+    (j_k is the minimal solution) from scipy's jv at the top orders not under
+    _TINY, rescaled from k = 0 to the larger of j_0, j_1 (jv is off by about
+    k |log z| ulp at small z)."""
+    if z < 0.0:  # j_k(-z) = (-1)^k j_k(z)
+        return [-v if k & 1 else v for k, v in enumerate(_spherical_bessel(lo, hi, -z), lo)]
+    if z == 0.0:
+        return [float(k == 0) for k in range(lo, hi + 1)]
+    out = [math.sin(z) / z]
+    out.append((out[0] - math.cos(z)) / z)
+    if lo == 0 and hi <= z:
+        for k in range(1, hi):
+            out.append((2 * k + 1) / z * out[k] - out[k - 1])
+        return out[: hi + 1]
+    exact, out = out, [0.0] * (hi - lo + 2)
+    scale = math.sqrt(0.5 * math.pi / z)
+
+    def j(k):
+        return scale * float(jv(k + 0.5, z))
+
+    top = hi
+    while top > lo and abs(j(top)) < _TINY:  # past z j_k decreases
+        top -= 1
+    out[top - lo], out[top + 1 - lo] = j(top), j(top + 1)
+    for k in range(top, lo, -1):
+        out[k - 1 - lo] = (2 * k + 1) / z * out[k - lo] - out[k + 1 - lo]
+    if lo == 0:
+        i = int(hi > 0 and abs(out[1]) > abs(out[0]))
+        out = [exact[i] / out[i] * v for v in out]
+    return out[:-1]
+
+
+@lru_cache(maxsize=_MAP_MEMO)
+def _moment_map(interval, lo: int, hi: int, m: int) -> np.ndarray:
+    """C with [int L_k x^m e^{iwx} dx for k = lo..hi] = e^{iwc} C [j_l(wh) for
+    l = max(lo - m, 0)..hi + m], c the centre and h the half-width of [a, b].
+
+    At m = 0, C is diagonal: sqrt((2l+1)(b-a)) i^l (DLMF 18.17(v)).  Each
+    factor x is one step x L_k = c L_k + h (beta_{k+1} L_{k+1} + beta_k
+    L_{k-1}), beta_k = k / sqrt(4k^2 - 1), the recurrence of `mult_x_leg`,
+    on the rows; rows for degrees below 0 are zero.  C does not depend on w.
+    """
+    a, b = interval
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    col = np.arange(max(lo - m, 0), hi + m + 1)
+    rows = np.eye(hi - lo + 2 * m + 1, len(col), min(lo - m, 0)) * (
+        np.sqrt((2.0 * col + 1.0) * (b - a)) * 1j ** (col % 4))
+    k = np.maximum(np.arange(lo - m, hi + m + 1), 0.0)[:, None]
+    beta = k / np.sqrt(np.abs(4.0 * k * k - 1.0))
+    for _ in range(m):
+        rows = c * rows[1:-1] + h * (beta[2:] * rows[2:] + beta[1:-1] * rows[:-2])
+        beta = beta[1:-1]
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=_MOMENT_MEMO)
 def _moment_block(interval, block: int, m: int, w: float) -> np.ndarray:
-    """Integrals of L_k(x) x^m e^{iwx} for k in block * _BLOCK + [0, _BLOCK).
-
-    The rule order depends only on the block, m and w, rounded up to a
-    power of two so that a few rules and Legendre tables serve every
-    frequency and interval.
-    """
+    """Integrals of L_k(x) x^m e^{iwx} for k in block * _BLOCK + [0, _BLOCK)."""
     a, b = interval
-    need = 64 + (_BLOCK * (block + 1) + m) // 2 + int(0.5 * abs(w) * (b - a))
-    order = 1 << (need - 1).bit_length()
-    rule = gauss_legendre(order, a, b)
-    vals = rule.weights * rule.nodes ** m * np.exp(1j * w * rule.nodes)
-    out = math.sqrt(2.0 / (b - a)) * (_reference_legendre(order, block) @ vals)
+    lo, hi = _BLOCK * block, _BLOCK * block + _BLOCK - 1
+    bessel = _spherical_bessel(max(lo - m, 0), hi + m, 0.5 * (b - a) * w)
+    out = cmath.exp(0.5j * (a + b) * w) * (_moment_map(interval, lo, hi, m) @ bessel)
     out.flags.writeable = False
     return out
 
@@ -260,7 +280,7 @@ class Func:
         of order degree + 16.  The result is flagged approximate.
         """
         a, b = interval
-        rule = gauss_legendre(degree + 16, a, b)
+        rule = core.gauss_legendre(degree + 16, a, b)
         lvals = legendre_values(interval, degree, rule.nodes)
         fv = np.asarray(fn(rule.nodes), dtype=complex)
         coeffs = lvals @ (rule.weights * fv)

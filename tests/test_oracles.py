@@ -4,7 +4,11 @@ The oracle integrates x^p e^{iwx} by its power series in (iw), summed in
 mpmath at a working precision far above the cancellation the series
 suffers, and expands the orthonormal shifted Legendre polynomials into
 monomials in the same precision.  Neither shares a branch with the
-library's closed forms, recursion or quadrature.  Mixed Legendre/Fourier
+library's closed form.  At high frequency and degree a second oracle
+takes the spherical Bessel functions from Miller's recurrence in mpmath
+and the factors x as Jacobi steps in the same precision; the Fourier
+transform of a Legendre polynomial it rests on is checked term by term
+against the exact series of int t^n P_k(t) dt.  Mixed Legendre/Fourier
 compressions are checked against a pointwise Gauss-Legendre rule, and a
 noise tail with no closed form in the library against mpmath's Hurwitz
 zeta.
@@ -60,6 +64,58 @@ def legendre_monomials(interval, n, dps):
         return [c * scale for c in out]
 
 
+def bessel_moments(interval, n, m, w, dps=40):
+    """[int L_k x^m e^{iwx} for k = 0..n] as mpmath numbers.
+
+    j_k(wh) (h the half-width, c the centre) comes from Miller's downward
+    recurrence, started far enough past max(n + m, wh) that the seed is
+    below the working precision and rescaled to the larger of the exact
+    j_0 and j_1.  The m = 0 moments are sqrt((2k+1)(b-a)) i^k j_k(wh)
+    e^{iwc}; each factor x is x L_k = c L_k + h (b_{k+1} L_{k+1} + b_k
+    L_{k-1}), b_k = k / sqrt(4k^2 - 1), with no binomial expansion.
+    """
+    with mp.workdps(dps):
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        c, h = (a + b) / 2, (b - a) / 2
+        z, top = abs(mp.mpf(w) * h), n + m
+        start = int(max(top, z) + 30 * z ** (mp.mpf(1) / 3) + 50)
+        j = [mp.mpf(0)] * (start + 2)
+        j[0 if z == 0 else start] = mp.mpf(1)  # j_k(0) = 0 for k > 0
+        for k in range(start, 0, -1) if z else ():
+            j[k - 1] = (2 * k + 1) / z * j[k] - j[k + 1]
+        exact = [mp.sin(z) / z, mp.sin(z) / z ** 2 - mp.cos(z) / z] if z else [1, 0]
+        i = int(abs(exact[1]) > abs(exact[0]))
+        scale = exact[i] / j[i]
+        sign = 1 if w > 0 else -1  # j_k(-z) = (-1)^k j_k(z)
+        mom = [
+            mp.sqrt((2 * k + 1) * (b - a)) * (sign * mp.j) ** k * scale * j[k]
+            * mp.expj(mp.mpf(w) * c)
+            for k in range(top + 1)
+        ]
+        beta = [mp.mpf(k) / mp.sqrt(4 * k * k - 1) if k else mp.mpf(0) for k in range(top + 1)]
+        for _ in range(m):
+            mom = [
+                c * mom[k] + h * (beta[k + 1] * mom[k + 1] + (beta[k] * mom[k - 1] if k else 0))
+                for k in range(len(mom) - 1)
+            ]
+        return mom
+
+
+def legendre_fourier_series(k, z, dps):
+    """int_{-1}^{1} P_k(t) e^{izt} dt from int t^n P_k(t) dt = 2^{k+1} n!
+    ((n+k)/2)! / (((n-k)/2)! (n+k+1)!) for n - k even: the power series
+    of the integral, term by term, at a precision above its cancellation."""
+    with mp.workdps(dps):
+        z = mp.mpf(z)
+        term = (mp.j * z) ** k * 2 ** (k + 1) * mp.factorial(k) / mp.factorial(2 * k + 1)
+        total, s = mp.mpc(0), 0
+        while s < z or abs(term) > mp.mpf(10) ** (-dps):
+            total += term
+            term *= -z * z * (k + s + 1) / ((s + 1) * (2 * k + 2 * s + 2) * (2 * k + 2 * s + 3))
+            s += 1
+        return total
+
+
 def monomial_norm(interval, m):
     """||x^m|| in L2(interval)."""
     a, b = interval
@@ -84,8 +140,8 @@ def test_series_oracle_matches_adaptive_quadrature():
 @pytest.mark.parametrize("w", IOSC_FREQS)
 @pytest.mark.parametrize("interval", IOSC_INTERVALS)
 def test_iosc_against_oracle(interval, w):
-    """Every branch (zero frequency, small-phase series, quadrature,
-    recursion) for m = 0..15, relative to sqrt(b-a) ||x^m||."""
+    """Zero, small and large phases (w h from 0 to 22, below and above
+    m) for m = 0..15, relative to sqrt(b-a) ||x^m||."""
     ref = osc_moments(interval, w, 15, 60)
     root = math.sqrt(interval[1] - interval[0])
     for m in range(16):
@@ -93,9 +149,42 @@ def test_iosc_against_oracle(interval, w):
         assert err <= 1e-10 * root * monomial_norm(interval, m), (m, err)
 
 
+@pytest.mark.parametrize("w", [1e-9, -1e-12])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.5, 2.25)])
+def test_iosc_at_tiny_frequency(interval, w):
+    """|w| h far below 1, where a downward Bessel recurrence seeded at the
+    top order underflows, for m = 0..15, relative to sqrt(b-a) ||x^m||."""
+    ref = osc_moments(interval, w, 15, 60)
+    root = math.sqrt(interval[1] - interval[0])
+    for m in range(16):
+        err = abs(complex(ref[m]) - iosc(interval, m, w))
+        assert err <= 1e-13 * root * monomial_norm(interval, m), (m, err)
+
+
+@pytest.mark.parametrize("interval,m", [((1e4, 1e4 + 1e-3), 2), ((1000.0, 1000.001), 3)])
+def test_iosc_zero_frequency_on_narrow_interval_far_out(interval, m):
+    """b^{m+1} - a^{m+1} cancels on a narrow interval far from the origin;
+    the Jacobi route does not."""
+    with mp.workdps(50):
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        exact = (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+        assert abs(iosc(interval, m, 0.0) - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("w", [0.0, 3.0, -2 * math.pi, 30.0])
+def test_iosc_far_from_origin_high_power(w):
+    """x^20 e^{iwx} on [10, 11], where a binomial expansion about the
+    centre would cancel, against mpmath's adaptive quadrature."""
+    interval, m = (10.0, 11.0), 20
+    with mp.workdps(30):
+        ref = mp.quad(lambda x: x ** m * mp.expj(w * x), mp.linspace(10, 11, 9))
+    err = abs(complex(ref) - iosc(interval, m, w))
+    assert err <= 1e-13 * monomial_norm(interval, m), err
+
+
 def test_iosc_odd_moment_on_symmetric_interval():
-    """integral_{-1}^{1} x e^{iwx} = 2i (sin w - w cos w) / w^2; the
-    small-phase series must not stop at its first vanishing term."""
+    """integral_{-1}^{1} x e^{iwx} = 2i (sin w - w cos w) / w^2 at a small
+    phase, where the even terms of its power series vanish."""
     w = 0.49
     exact = 2j * (math.sin(w) - w * math.cos(w)) / w ** 2
     assert abs(iosc((-1.0, 1.0), 1, w) - exact) < 1e-15
@@ -121,6 +210,62 @@ def test_leg_osc_integral_against_oracle(interval, w):
             assert err <= 1e-12 * monomial_norm(interval, m), (n, m, err)
 
 
+@pytest.mark.parametrize("w", [1e-9, -1e-12])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.5, 2.25)])
+def test_leg_osc_integral_at_tiny_frequency(interval, w):
+    """Degrees 0..8, 15 and 40 at |w| h far below 1, where a downward
+    Bessel recurrence seeded at the top order underflows, relative to
+    ||x^m||."""
+    dps = 100
+    mono = {n: legendre_monomials(interval, n, dps) for n in LEG_DEGREES}
+    moments = osc_moments(interval, w, 9 + max(LEG_DEGREES), dps)
+    for m in (0, 1, 3, 9):
+        got = leg_osc_integral(interval, max(LEG_DEGREES), m, w)
+        for n in LEG_DEGREES:
+            with mp.workdps(dps):
+                ref = mp.fsum(c * moments[m + j] for j, c in enumerate(mono[n]))
+            err = abs(complex(ref) - got[n])
+            assert err <= 1e-13 * monomial_norm(interval, m), (n, m, err)
+
+
+HIGH_FREQUENCY = [((0.0, 1.0), 2 * math.pi * 500), ((0.75, 2.0), 2 * math.pi * 240)]
+
+
+@pytest.mark.parametrize("interval,w", HIGH_FREQUENCY)
+def test_leg_osc_integral_at_high_frequency(interval, w):
+    """Every degree up to 1000 against the Miller/Jacobi oracle, for
+    m = 0, 3 and 12, relative to ||x^m||."""
+    for m in (0, 3, 12):
+        ref = np.array([complex(v) for v in bessel_moments(interval, 1000, m, w)])
+        err = np.max(np.abs(leg_osc_integral(interval, 1000, m, w) - ref))
+        assert err <= 1e-13 * monomial_norm(interval, m), (m, err)
+
+
+@pytest.mark.parametrize("interval,w", HIGH_FREQUENCY)
+def test_legendre_fourier_transform_term_by_term(interval, w):
+    """The identity under both the library and the Bessel oracle,
+    int_{-1}^{1} P_k(t) e^{izt} dt = 2 i^k j_k(z), at degrees 0, 31, 32 and
+    999 from the exact power series of the integral, against the m = 0
+    moments: int L_k e^{iwx} dx = sqrt((2k+1)(b-a)) / 2 e^{iwc} times it."""
+    a, b = interval
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    got = leg_osc_integral(interval, 999, 0, w)
+    for k in (0, 31, 32, 999):
+        ref = legendre_fourier_series(k, w * h, 40 + int(0.45 * w * h))
+        ref = complex(ref) * math.sqrt((2 * k + 1) * (b - a)) / 2 * np.exp(1j * w * c)
+        assert abs(got[k] - ref) <= 1e-13, (k, abs(got[k] - ref))
+
+
+@pytest.mark.parametrize("w", [0.0, 3.0, -2 * math.pi])
+def test_leg_osc_integral_far_from_origin_high_power(w):
+    """x^20 on [10, 11]: binomial expansion about the centre would cancel;
+    degrees 0..40 against the Jacobi steps in mpmath, relative to ||x^20||."""
+    interval, m = (10.0, 11.0), 20
+    ref = np.array([complex(v) for v in bessel_moments(interval, 40, m, w)])
+    err = np.max(np.abs(leg_osc_integral(interval, 40, m, w) - ref))
+    assert err <= 1e-13 * monomial_norm(interval, m), err
+
+
 @pytest.mark.parametrize("m,w", [(0, 14 * math.pi), (3, -2.5)])
 def test_moment_does_not_depend_on_requested_degree(m, w):
     """Each moment has one value, whatever maximum degree is asked for
@@ -139,7 +284,7 @@ def test_moment_does_not_depend_on_requested_degree(m, w):
 def test_memos_are_bounded():
     """The memos are bounded lru_caches; no module-level dict grows for
     the life of the process."""
-    for memo in (_moment_block, elements._reference_legendre):
+    for memo in (_moment_block, elements._moment_map, iosc):
         assert memo.cache_info().maxsize is not None
     assert not [
         name for name, value in vars(elements).items()
