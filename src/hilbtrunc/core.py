@@ -3,14 +3,12 @@
 Gauss-Legendre quadrature rules, dense minimum-norm least squares, and
 singular values, on plain numpy arrays.  Quadrature rules are immutable
 after construction and safe to share across threads; the operations are
-pure functions.  The mapped rules are memoized per order and interval in
-a bounded cache.
+pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -51,9 +49,8 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-@lru_cache(maxsize=64)
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with `order` points, mapped affinely to [a, b] (memoized).
+    """Gauss-Legendre rule with `order` points, mapped affinely to [a, b].
 
     Exact for polynomials of degree <= 2*order - 1.
 

@@ -129,6 +129,8 @@ def monomial_leg(interval, m: int) -> np.ndarray:
 def iosc(interval, m: int, w: float) -> complex:
     """Exact integral of x^m e^{iwx} over the interval (memoized): sqrt(b - a)
     times the degree-0 moment, its one row of `_moment_map` summed in Python."""
+    if w < 0.0:  # x^m is real: the integral at -w is the conjugate of that at w
+        return iosc(interval, m, -w).conjugate()
     a, b = interval
     row = _moment_map(interval, 0, 0, m)[0].tolist()
     bessel = _spherical_bessel(0, m, 0.5 * (b - a) * w)
@@ -146,22 +148,14 @@ def osc_antiderivative(m: int, w: float):
 
 
 def _spherical_bessel(lo: int, hi: int, z: float) -> list:
-    """[j_k(z) for k = lo..hi] by j_{k-1} + j_{k+1} = (2k+1)/z j_k: up to k = z
-    upward from j_0 = sin z / z and j_1 = (j_0 - cos z) / z, past it downward
-    (j_k is the minimal solution) from scipy's jv at the top orders not under
-    _TINY, rescaled from k = 0 to the larger of j_0, j_1 (jv is off by about
-    k |log z| ulp at small z)."""
-    if z < 0.0:  # j_k(-z) = (-1)^k j_k(z)
-        return [-v if k & 1 else v for k, v in enumerate(_spherical_bessel(lo, hi, -z), lo)]
+    """[j_k(z) for k = lo..hi], z >= 0, downward by j_{k-1} + j_{k+1} =
+    (2k+1)/z j_k (past k = z, j_k is the minimal solution) from scipy's jv
+    at the top orders not under _TINY; a run from k = 0 is rescaled to the
+    larger of j_0 = sin z / z and j_1 = (j_0 - cos z) / z (jv is off by
+    about k |log z| ulp at small z)."""
     if z == 0.0:
         return [float(k == 0) for k in range(lo, hi + 1)]
-    out = [math.sin(z) / z]
-    out.append((out[0] - math.cos(z)) / z)
-    if lo == 0 and hi <= z:
-        for k in range(1, hi):
-            out.append((2 * k + 1) / z * out[k] - out[k - 1])
-        return out[: hi + 1]
-    exact, out = out, [0.0] * (hi - lo + 2)
+    out = [0.0] * (hi - lo + 2)
     scale = math.sqrt(0.5 * math.pi / z)
 
     def j(k):
@@ -174,6 +168,8 @@ def _spherical_bessel(lo: int, hi: int, z: float) -> list:
     for k in range(top, lo, -1):
         out[k - 1 - lo] = (2 * k + 1) / z * out[k - lo] - out[k + 1 - lo]
     if lo == 0:
+        j0 = math.sin(z) / z
+        exact = (j0, (j0 - math.cos(z)) / z)
         i = int(hi > 0 and abs(out[1]) > abs(out[0]))
         out = [exact[i] / out[i] * v for v in out]
     return out[:-1]
@@ -206,10 +202,13 @@ def _moment_map(interval, lo: int, hi: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=_MOMENT_MEMO)
 def _moment_block(interval, block: int, m: int, w: float) -> np.ndarray:
     """Integrals of L_k(x) x^m e^{iwx} for k in block * _BLOCK + [0, _BLOCK)."""
-    a, b = interval
-    lo, hi = _BLOCK * block, _BLOCK * block + _BLOCK - 1
-    bessel = _spherical_bessel(max(lo - m, 0), hi + m, 0.5 * (b - a) * w)
-    out = cmath.exp(0.5j * (a + b) * w) * (_moment_map(interval, lo, hi, m) @ bessel)
+    if w < 0.0:  # L_k x^m is real: the moments at -w are the conjugates of those at w
+        out = _moment_block(interval, block, m, -w).conj()
+    else:
+        a, b = interval
+        lo, hi = _BLOCK * block, _BLOCK * block + _BLOCK - 1
+        bessel = _spherical_bessel(max(lo - m, 0), hi + m, 0.5 * (b - a) * w)
+        out = cmath.exp(0.5j * (a + b) * w) * (_moment_map(interval, lo, hi, m) @ bessel)
     out.flags.writeable = False
     return out
 
