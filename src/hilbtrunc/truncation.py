@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
-from .core import CapabilityError, RANK_RTOL, qr_least_squares
+from .core import CapabilityError, RANK_RTOL, qr_least_squares, singular_values
 from .bases import OrthonormalBasis, krylov_basis
 from .elements import inner_matrix, lincomb
 from .operators import BoundedOperator
@@ -134,14 +135,26 @@ def lift(sol: ApproxSolution, trial: OrthonormalBasis):
 def _kernel_vector(A: np.ndarray) -> Optional[np.ndarray]:
     """Unit kernel vector of a numerically singular matrix, canonicalized.
 
-    Returns None when the smallest singular value is above the rank
-    threshold.  Entries below 1e-14 of the peak are snapped to zero so
-    structurally sparse kernels (e.g. a zero column) come out exact.
+    Returns None when A has no more columns than rows and its smallest
+    singular value is above the rank threshold.  The vector is the unit
+    vector at the last exactly zero column of A if there is one (no
+    factorization), else the last column q of Q in the pivoted QR of
+    A^H (for square A, ||A q|| = |R[-1, -1]|).  That choice also decides
+    which vector a kernel of more than one dimension yields.  Entries
+    below 1e-14 of the peak are snapped to zero, so structurally sparse
+    kernels come out exact, and the largest entry is made real and
+    positive.
     """
-    u, s, vh = np.linalg.svd(A)
-    if len(s) == 0 or s[-1] > RANK_RTOL * max(s[0], 1e-300):
+    zero = np.flatnonzero(~A.any(axis=0))
+    if len(zero):
+        v = np.zeros(A.shape[1], dtype=np.result_type(A.dtype, 1.0))
+        v[zero[-1]] = 1.0
+        return v
+    s = singular_values(A)
+    if A.shape[1] == len(s) and (len(s) == 0 or s[-1] > RANK_RTOL * max(s[0], 1e-300)):
         return None
-    v = np.conj(vh[-1])
+    q, _, _ = scipy.linalg.qr(A.conj().T, pivoting=True)
+    v = q[:, -1]
     v[np.abs(v) < 1e-14 * np.max(np.abs(v))] = 0.0
     pivot = v[int(np.argmax(np.abs(v)))]
     v = v * (np.conj(pivot) / abs(pivot))

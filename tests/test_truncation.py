@@ -311,6 +311,126 @@ class TestSolveDirect:
         assert abs(sol.eps_norm - recomputed) < 1e-12
 
 
+def reference_kernel_vector(A):
+    """The full-SVD kernel vector _kernel_vector used to compute: the reference."""
+    u, s, vh = np.linalg.svd(A)
+    if len(s) == 0 or s[-1] > RANK_RTOL * max(s[0], 1e-300):
+        return None
+    v = np.conj(vh[-1])
+    v[np.abs(v) < 1e-14 * np.max(np.abs(v))] = 0.0
+    pivot = v[int(np.argmax(np.abs(v)))]
+    v = v * (np.conj(pivot) / abs(pivot))
+    return v / np.linalg.norm(v)
+
+
+def demo_truncations():
+    """Every truncation the pathological-family and shift-weak-residual demos solve."""
+    basis = canonical_basis()
+    for op, n_max in ((RightShift(), 100), (WeightedRightShift(power_law(1.0, 1.0)), 40)):
+        base = compress(op, basis, basis, n_max, Seq.zero())
+        for N in range(1, n_max + 1):
+            yield base.leading(N).A_N
+
+
+def with_singular_values(sigma, complex_, seed):
+    """A random matrix U diag(sigma) V^H with orthogonal or unitary U, V."""
+    rng = np.random.default_rng(seed)
+    N = len(sigma)
+
+    def unitary():
+        M = rng.standard_normal((N, N))
+        if complex_:
+            M = M + 1j * rng.standard_normal((N, N))
+        return np.linalg.qr(M)[0]
+
+    V = unitary()
+    return (unitary() * np.asarray(sigma)) @ V.conj().T, V[:, -1]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKernelVector:
+    def test_demo_truncations_match_the_reference_bitwise(self):
+        for A in demo_truncations():
+            assert_same_bits(truncation._kernel_vector(A), reference_kernel_vector(A))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_matrix_matches_the_reference_bitwise(self, dtype):
+        A = np.zeros((5, 5), dtype=dtype)
+        v = truncation._kernel_vector(A)
+        assert_same_bits(v, reference_kernel_vector(A))
+        assert v[-1] == 1.0
+
+    @pytest.mark.parametrize("N", range(2, 12))
+    def test_two_zero_columns_give_the_last(self, N):
+        """Truncations of S^2 have two zero columns.  The reference lands
+        on either one (the last at even N, the other at odd N); the
+        unit vector at the last is the documented choice."""
+        A = np.diag(np.ones(N - 2, dtype=complex), -2)
+        want = np.zeros(N, dtype=complex)
+        want[-1] = 1.0
+        assert_same_bits(truncation._kernel_vector(A), want)
+        ref = reference_kernel_vector(A)
+        assert np.count_nonzero(ref) == 1 and np.flatnonzero(ref)[0] in (N - 2, N - 1)
+        assert abs(ref).max() == 1.0
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("N", [2, 7, 40, 200])
+    def test_random_nullity_one(self, N, complex_):
+        sigma = np.linspace(3.0, 0.5, N)
+        sigma[-1] = 0.0
+        A, _ = with_singular_values(sigma, complex_, seed=N)
+        v = truncation._kernel_vector(A)
+        ref = reference_kernel_vector(A)
+        assert v.dtype == ref.dtype
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert np.linalg.norm(A @ v) <= 1e-12 * sigma[0]
+        assert abs(np.vdot(v, ref)) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("ratio", [0.5e-12, 2e-12])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rank_boundary(self, ratio, complex_):
+        sigma = np.linspace(1.0, 0.5, 12)
+        sigma[-1] = ratio
+        A, kernel = with_singular_values(sigma, complex_, seed=3)
+        v = truncation._kernel_vector(A)
+        ref = reference_kernel_vector(A)
+        assert (v is None) == (ref is None) == (ratio > RANK_RTOL)
+        if v is not None:
+            assert abs(np.vdot(v, kernel)) >= 1.0 - 1e-10
+
+    def test_wide_matrix_has_a_kernel(self):
+        """Five columns and three singular values: the rank test alone
+        never sees the two-dimensional kernel."""
+        A = np.random.default_rng(5).standard_normal((3, 5))
+        v = truncation._kernel_vector(A)
+        assert v is not None and abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert np.linalg.norm(A @ v) <= 1e-12 * np.linalg.norm(A, 2)
+        p = truncation.TruncatedProblem(
+            N=3, A_N=A, g_N=np.ones(3), trial="t", test="t", operator="wide"
+        )
+        unit = solve_direct(p, family="kernel-unit").f_N_coeffs
+        np.testing.assert_allclose(unit - solve_direct(p).f_N_coeffs, v, atol=1e-14)
+
+    def test_cli_csv_matches_the_reference(self, tmp_path, monkeypatch):
+        from hilbtrunc.cli import main
+
+        (tmp_path / "shift.ini").write_text(
+            "[problem]\noperator = right-shift\ndatum = basis-e:1\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\n"
+            "n_list = 10,50,200\nsolver = qr\nsolution_family = kernel-unit\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "shift.ini", "--out", "new.csv"]) == 0
+        monkeypatch.setattr(truncation, "_kernel_vector", reference_kernel_vector)
+        assert main(["run", "shift.ini", "--out", "ref.csv"]) == 0
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestSolveGmres:
     def test_multiplication_problem_converges(self):
         op = MultiplicationX((1.0, 2.0))
