@@ -15,7 +15,7 @@ from .core import (
     qr_least_squares,
     singular_values,
 )
-from .elements import Func, Seq, inner, lincomb, norm
+from .elements import Func, Seq, inner, lincomb
 from .operators import (
     BoundedOperator,
     MultiplicationSeq,

@@ -160,7 +160,7 @@ def fourier_basis(interval) -> OrthonormalBasis:
     )
 
 
-def arnoldi(op: BoundedOperator, g, steps: int, breakdown_rtol: float = BREAKDOWN_RTOL):
+def arnoldi(op: BoundedOperator, g, steps: int):
     """Modified Gram-Schmidt Arnoldi on g, Ag, A^2 g, ...
 
     Returns (vectors, hessenberg, exhausted).  Without breakdown there
@@ -214,7 +214,7 @@ def arnoldi(op: BoundedOperator, g, steps: int, breakdown_rtol: float = BREAKDOW
         hn = float(np.linalg.norm(w))
         H[k + 1, k] = hn
         done = k + 1
-        if hn <= breakdown_rtol * max(pre, 1e-300):
+        if hn <= BREAKDOWN_RTOL * max(pre, 1e-300):
             exhausted = True
             break
         windows.append((lo, hi, (1.0 / hn) * w))
@@ -241,9 +241,7 @@ def _element(like, lo, values, *sources):
     is approximate if `like` or any source is."""
     if isinstance(like, Seq):
         return Seq(like.domain, lo, values)
-    out = Func(like.interval, values, {})
-    out.approximate = any(e.approximate for e in (like, *sources))
-    return out
+    return Func(like.interval, values, {}, any(e.approximate for e in (like, *sources)))
 
 
 def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:

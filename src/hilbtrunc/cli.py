@@ -13,7 +13,7 @@ import argparse
 import configparser
 import io
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -52,36 +52,109 @@ SOLVERS = ("qr", "gmres", "cg")
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProblemConfig:
     operator: str
     datum: str
     exact_solution: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TruncationConfig:
     trial: str
-    test: str
+    test: Optional[str] = None  # None: the trial basis
     n_list: tuple
     solver: str = "qr"
     tol: float = 1e-10
     solution_family: str = "min-norm"
 
+    def __post_init__(self):
+        if self.test is None:
+            object.__setattr__(self, "test", self.trial)
+        n = self.n_list
+        if not n or any(b <= a for a, b in zip(n, n[1:])):
+            raise ConfigError(f"n_list must be strictly increasing, got {n}")
+        if self.solver not in SOLVERS:
+            raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.solution_family not in SOLUTION_FAMILIES:
+            raise ConfigError(f"unknown solution_family {self.solution_family!r}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class NoiseConfig:
     sigma_law: str
     g_law: str
     nu_law: str
-    n_max: int
+    n_max: int = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OutputConfig:
     csv: str
     tracked: tuple = DEFAULT_TRACKED
     gnuplot: bool = False
+
+
+SECTIONS = {
+    "problem": ProblemConfig,
+    "truncation": TruncationConfig,
+    "noise": NoiseConfig,
+    "output": OutputConfig,
+}
+
+
+def _index_tuple(raw: str) -> tuple:
+    """Comma-separated basis indices; each must be >= 1."""
+    vals = tuple(int(v) for v in raw.split(",") if v.strip())
+    if any(v < 1 for v in vals):
+        raise ValueError(f"entries must be >= 1, got {vals}")
+    return vals
+
+
+def _yes_no(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value not in ("yes", "true", "1", "no", "false", "0"):
+        raise ValueError("expected yes or no")
+    return value in ("yes", "true", "1")
+
+
+# readers of the keys whose values are not strings
+_READERS = {
+    "n_list": _index_tuple,
+    "tracked": _index_tuple,
+    "tol": float,
+    "n_max": int,
+    "gnuplot": _yes_no,
+}
+
+
+def _read_value(where: str, key: str, raw: str):
+    try:
+        return _READERS.get(key, str)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
+
+
+def _text(value) -> str:
+    """A key's value as config text, read back by `_read_value`."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _read_section(name: str, section):
+    """A section's keys as the fields of its dataclass declare them."""
+    declared = {f.name: f for f in fields(SECTIONS[name])}
+    unknown = sorted(set(section) - declared.keys())
+    if unknown:
+        raise ConfigError(f"unknown keys in [{name}]: {unknown}")
+    for key, f in declared.items():
+        if key not in section and f.default is MISSING:
+            raise ConfigError(f"missing key {key!r} in section [{name}]")
+    values = {key: _read_value(f"{name}.{key}", key, raw) for key, raw in section.items()}
+    return SECTIONS[name](**values)
 
 
 @dataclass(frozen=True)
@@ -91,159 +164,47 @@ class ExperimentConfig:
     noise: Optional[NoiseConfig]
     output: OutputConfig
 
+    def __post_init__(self):
+        if self.output is None:
+            raise ConfigError("missing [output] section")
+        if (self.problem is None) == (self.noise is None):
+            raise ConfigError("config needs exactly one of [problem] and [noise]")
+        if (self.problem is None) != (self.truncation is None):
+            raise ConfigError("a [truncation] section goes with a [problem] section")
+
     def to_text(self) -> str:
         """Canonical config serialization (round-trips through from_text)."""
         out = []
-        if self.problem is not None:
-            out.append("[problem]")
-            out.append(f"operator = {self.problem.operator}")
-            out.append(f"datum = {self.problem.datum}")
-            if self.problem.exact_solution is not None:
-                out.append(f"exact_solution = {self.problem.exact_solution}")
-        if self.truncation is not None:
-            t = self.truncation
-            out.append("[truncation]")
-            out.append(f"trial = {t.trial}")
-            out.append(f"test = {t.test}")
-            out.append(f"n_list = {','.join(str(n) for n in t.n_list)}")
-            out.append(f"solver = {t.solver}")
-            out.append(f"tol = {t.tol!r}")
-            out.append(f"solution_family = {t.solution_family}")
-        if self.noise is not None:
-            n = self.noise
-            out.append("[noise]")
-            out.append(f"sigma_law = {n.sigma_law}")
-            out.append(f"g_law = {n.g_law}")
-            out.append(f"nu_law = {n.nu_law}")
-            out.append(f"n_max = {n.n_max}")
-        out.append("[output]")
-        out.append(f"csv = {self.output.csv}")
-        out.append(f"tracked = {','.join(str(n) for n in self.output.tracked)}")
-        out.append(f"gnuplot = {'yes' if self.output.gnuplot else 'no'}")
+        for name in SECTIONS:
+            section = getattr(self, name)
+            if section is None:
+                continue
+            out.append(f"[{name}]")
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if value is not None:
+                    out.append(f"{f.name} = {_text(value)}")
         return "\n".join(out) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser(interpolation=None)
+        # no [DEFAULT] key sharing: such a section is reported as unknown
+        parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=(";",), default_section=None
+        )
         try:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}") from exc
-        return _config_from_parser(parser)
-
-
-def _getfield(section, key, cast=str, default=None, required=False, where=""):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key {key!r} in section [{where}]")
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {where}.{key}: {raw!r} ({exc})") from exc
-
-
-def _index_tuple(raw: str, where: str) -> tuple:
-    """Comma-separated basis indices; each must be >= 1."""
-    try:
-        vals = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
-    if any(v < 1 for v in vals):
-        raise ConfigError(f"{where} entries must be >= 1, got {vals}")
-    return vals
-
-
-def _n_list(raw: str, where: str) -> tuple:
-    n_list = _index_tuple(raw, where)
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError(f"{where} must be strictly increasing, got {n_list}")
-    return n_list
-
-
-def _solver(name: str) -> str:
-    if name not in SOLVERS:
-        raise ConfigError(f"unknown solver {name!r}")
-    return name
-
-
-def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    known = {"problem", "truncation", "noise", "output"}
-    extra = set(parser.sections()) - known
-    if extra:
-        raise ConfigError(f"unknown config sections: {sorted(extra)}")
-    problem = None
-    if parser.has_section("problem"):
-        sec = parser["problem"]
-        problem = ProblemConfig(
-            operator=_getfield(sec, "operator", required=True, where="problem"),
-            datum=_getfield(sec, "datum", required=True, where="problem"),
-            exact_solution=_getfield(sec, "exact_solution", where="problem"),
+        unknown = set(parser.sections()) - SECTIONS.keys()
+        if unknown:
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        return ExperimentConfig(
+            **{
+                name: _read_section(name, parser[name]) if name in parser else None
+                for name in SECTIONS
+            }
         )
-    truncation = None
-    if parser.has_section("truncation"):
-        sec = parser["truncation"]
-        trial = _getfield(sec, "trial", required=True, where="truncation")
-        n_list = _getfield(
-            sec,
-            "n_list",
-            cast=lambda v: _n_list(v, "truncation.n_list"),
-            required=True,
-            where="truncation",
-        )
-        truncation = TruncationConfig(
-            trial=trial,
-            test=_getfield(sec, "test", default=trial, where="truncation"),
-            n_list=n_list,
-            solver=_getfield(
-                sec, "solver", cast=_solver, default="qr", where="truncation"
-            ),
-            tol=_getfield(sec, "tol", cast=float, default=1e-10, where="truncation"),
-            solution_family=_getfield(
-                sec, "solution_family", default="min-norm", where="truncation"
-            ),
-        )
-        if truncation.solution_family not in SOLUTION_FAMILIES:
-            raise ConfigError(
-                f"unknown solution_family {truncation.solution_family!r}"
-            )
-    noise = None
-    if parser.has_section("noise"):
-        sec = parser["noise"]
-        noise = NoiseConfig(
-            sigma_law=_getfield(sec, "sigma_law", required=True, where="noise"),
-            g_law=_getfield(sec, "g_law", required=True, where="noise"),
-            nu_law=_getfield(sec, "nu_law", required=True, where="noise"),
-            n_max=_getfield(sec, "n_max", cast=int, default=1000, where="noise"),
-        )
-    if not parser.has_section("output"):
-        raise ConfigError("missing [output] section")
-    sec = parser["output"]
-    output = OutputConfig(
-        csv=_getfield(sec, "csv", required=True, where="output"),
-        tracked=_getfield(
-            sec,
-            "tracked",
-            cast=lambda v: _index_tuple(v, "output.tracked"),
-            default=DEFAULT_TRACKED,
-            where="output",
-        ),
-        gnuplot=_getfield(
-            sec,
-            "gnuplot",
-            cast=lambda v: v.strip().lower() in ("yes", "true", "1"),
-            default=False,
-            where="output",
-        ),
-    )
-    if problem is None and noise is None:
-        raise ConfigError("config needs a [problem] or a [noise] section")
-    if problem is not None and truncation is None:
-        raise ConfigError("a [problem] section requires a [truncation] section")
-    return ExperimentConfig(
-        problem=problem, truncation=truncation, noise=noise, output=output
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +264,6 @@ PRESET_NOTES = {
     "noise-fig1": "same frame with nu_n = 0.4 n^(-3/2); the error series has an "
     "interior minimum (semiconvergence)",
 }
-
-DEMOS = ("bad-truncation", "pathological-family", "shift-weak-residual")
-
 
 def list_presets() -> str:
     """Human-readable listing of experiment presets and demos."""
@@ -633,17 +591,19 @@ def _demo_shift_weak_residual(lines):
     return ok
 
 
+DEMOS = {
+    "bad-truncation": _demo_bad_truncation,
+    "pathological-family": _demo_pathological_family,
+    "shift-weak-residual": _demo_shift_weak_residual,
+}
+
+
 def demo(name: str, out: Optional[str] = None) -> Path:
     """Run a named demonstration and write its pass/fail report."""
-    runners = {
-        "bad-truncation": _demo_bad_truncation,
-        "pathological-family": _demo_pathological_family,
-        "shift-weak-residual": _demo_shift_weak_residual,
-    }
-    if name not in runners:
-        raise ConfigError(f"unknown demo {name!r}; have {sorted(runners)}")
+    if name not in DEMOS:
+        raise ConfigError(f"unknown demo {name!r}; have {sorted(DEMOS)}")
     lines = [f"demo: {name}"]
-    runners[name](lines)
+    DEMOS[name](lines)
     path = Path(out if out is not None else f"{name}-report.txt")
     _write_deterministic(path, "\n".join(lines) + "\n")
     return path
@@ -663,20 +623,16 @@ def _load_config(source: str) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.n_list is not None:
-        if cfg.truncation is None:
-            raise ConfigError("--n-list applies to truncation runs only")
-        n_list = _n_list(args.n_list, "--n-list")
-        cfg = replace(cfg, truncation=replace(cfg.truncation, n_list=n_list))
-    if args.solver is not None:
-        if cfg.truncation is None:
-            raise ConfigError("--solver applies to truncation runs only")
-        solver = _solver(args.solver)
-        cfg = replace(cfg, truncation=replace(cfg.truncation, solver=solver))
-    if args.tol is not None:
-        if cfg.truncation is None:
-            raise ConfigError("--tol applies to truncation runs only")
-        cfg = replace(cfg, truncation=replace(cfg.truncation, tol=args.tol))
+    overrides = {}
+    for key in ("n_list", "solver", "tol"):
+        raw = getattr(args, key)
+        if raw is not None:
+            flag = "--" + key.replace("_", "-")
+            if cfg.truncation is None:
+                raise ConfigError(f"{flag} applies to truncation runs only")
+            overrides[key] = _read_value(flag, key, raw)
+    if overrides:
+        cfg = replace(cfg, truncation=replace(cfg.truncation, **overrides))
     if args.gnuplot:
         cfg = replace(cfg, output=replace(cfg.output, gnuplot=True))
     return cfg
@@ -694,7 +650,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="config path or preset name")
     p_run.add_argument("--n-list", default=None, help="override truncation sizes")
     p_run.add_argument("--solver", default=None, help="override solver (qr|gmres|cg)")
-    p_run.add_argument("--tol", type=float, default=None, help="override tolerance")
+    p_run.add_argument("--tol", default=None, help="override tolerance")
     p_run.add_argument("--out", default=None, help="override CSV path")
     p_run.add_argument(
         "--gnuplot", action="store_true", help="emit a companion gnuplot script"

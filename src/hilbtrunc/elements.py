@@ -237,11 +237,14 @@ class Func:
 
     `leg[n]` multiplies the orthonormal shifted Legendre polynomial of
     degree n; `osc[(m, w)]` multiplies x^m e^{iwx} with w != 0.
+    `approximate` marks a sampled projection and whatever is built from
+    one.
     """
 
     interval: tuple
     leg: np.ndarray
     osc: dict
+    approximate: bool = False
 
     @staticmethod
     def zero(interval) -> "Func":
@@ -283,13 +286,10 @@ class Func:
         lvals = legendre_values(interval, degree, rule.nodes)
         fv = np.asarray(fn(rule.nodes), dtype=complex)
         coeffs = lvals @ (rule.weights * fv)
-        out = Func(interval, coeffs, {})
-        out.approximate = True
-        return out
+        return Func(interval, coeffs, {}, approximate=True)
 
     def __post_init__(self):
         self.leg = np.asarray(self.leg, dtype=complex)
-        self.approximate = getattr(self, "approximate", False)
 
     def _check(self, other: "Func"):
         if self.interval != other.interval:
@@ -306,21 +306,18 @@ class Func:
         osc = dict(self.osc)
         for key, c in other.osc.items():
             osc[key] = osc.get(key, 0.0) + c
-        out = Func(self.interval, leg, osc)
-        out.approximate = self.approximate or other.approximate
-        return out
+        return Func(self.interval, leg, osc, self.approximate or other.approximate)
 
     def __sub__(self, other: "Func") -> "Func":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "Func":
-        out = Func(
+        return Func(
             self.interval,
             scalar * self.leg,
             {k: scalar * c for k, c in self.osc.items()},
+            self.approximate,
         )
-        out.approximate = self.approximate
-        return out
 
     def inner(self, other: "Func") -> complex:
         """L2 inner product, antilinear in self.
@@ -386,9 +383,7 @@ class Func:
         n = len(leg)
         while n > 0 and leg[n - 1] == 0:
             n -= 1
-        out = Func(self.interval, leg[:n].copy(), osc)
-        out.approximate = self.approximate
-        return out
+        return Func(self.interval, leg[:n].copy(), osc, self.approximate)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +490,6 @@ def inner(u, v) -> complex:
     return u.inner(v)
 
 
-def norm(u) -> float:
-    return u.norm()
-
-
 def lincomb(coeffs, elements):
     """Sum of coeff * element over a nonempty list.
 
@@ -517,9 +508,12 @@ def lincomb(coeffs, elements):
         values[block.index - lo] = total
         return Seq(block.space[1], lo, values)
     osc = _row_sum(coeffs * block.osc)
-    out = Func(block.space[1], total, dict(zip(block.atoms, osc)))
-    out.approximate = any(e.approximate for e in elements)
-    return out
+    return Func(
+        block.space[1],
+        total,
+        dict(zip(block.atoms, osc)),
+        any(e.approximate for e in elements),
+    )
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:

@@ -303,17 +303,13 @@ class Volterra(BoundedOperator):
                 leg = np.zeros(1, dtype=complex)
             leg = leg.copy()
             leg[0] += const  # the constant function is the degree-0 element
-        out = Func(f.interval, leg, osc)
-        out.approximate = f.approximate
-        return out
+        return Func(f.interval, leg, osc, f.approximate)
 
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
         self._check_space(f)
         total = Func.from_leg(f.interval, [1.0]).inner(f)
-        out = Func.from_leg(f.interval, [total]) - self.apply(f)
-        out.approximate = f.approximate
-        return out
+        return Func.from_leg(f.interval, [total]) - self.apply(f)
 
     def exact_svd(self) -> SvdTriple:
         def sigma(n):
@@ -353,9 +349,7 @@ class MultiplicationX(BoundedOperator):
         self._check_space(f)
         leg = mult_x_leg(f.interval, f.leg)
         osc = {(m + 1, w): c for (m, w), c in f.osc.items()}
-        out = Func(f.interval, leg, osc)
-        out.approximate = f.approximate
-        return out
+        return Func(f.interval, leg, osc, f.approximate)
 
     adjoint_apply = apply
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -48,9 +49,10 @@ class TestConfigRoundTrip:
         cfg = PRESETS[name]
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
-    def test_bad_section_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_text("[weird]\nx = 1\n[output]\ncsv = a.csv\n")
+    @pytest.mark.parametrize("name", ["weird", "DEFAULT"])
+    def test_bad_section_rejected(self, name):
+        with pytest.raises(ConfigError, match="unknown config sections"):
+            ExperimentConfig.from_text(f"[{name}]\ncsv = a.csv\n[output]\ncsv = a.csv\n")
 
     def test_nonincreasing_n_list_rejected(self):
         text = (
@@ -64,6 +66,26 @@ class TestConfigRoundTrip:
     def test_missing_output_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n")
+
+    def test_readme_example_runs_as_written(self, tmp_path):
+        """The README's commented config block writes the same CSV and
+        gnuplot script as the block with its comments removed."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        plain = "".join(
+            line.split(";")[0].rstrip() + "\n"
+            for line in block.splitlines()
+            if line.split(";")[0].strip()
+        )
+        for name, text in (("readme", block), ("plain", plain)):
+            (tmp_path / name).mkdir()
+            (tmp_path / f"{name}.ini").write_text(text)
+            out = str(tmp_path / name / "results.csv")
+            assert main(["run", str(tmp_path / f"{name}.ini"), "--out", out, "--gnuplot"]) == 0
+        for result in ("results.csv", "results.csv.gp"):
+            assert (tmp_path / "readme" / result).read_bytes() == (
+                tmp_path / "plain" / result
+            ).read_bytes()
 
 
 class TestRun:
@@ -201,6 +223,31 @@ class TestMain:
 
 
 class TestConfigValueErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a misspelled key
+            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+            "[truncation]\ntrial = legendre\nn_list = 2,4\nsolvr = gmres\n"
+            "[output]\ncsv = out.csv\n",
+            # both a truncation problem and a noise study
+            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+            "[truncation]\ntrial = legendre\nn_list = 2,4\n"
+            "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "[output]\ncsv = out.csv\n",
+            # a yes/no key that is neither
+            "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "[output]\ncsv = out.csv\ngnuplot = maybe\n",
+        ],
+        ids=["misspelled-key", "problem-and-noise", "gnuplot-maybe"],
+    )
+    def test_input_that_would_be_dropped_exit_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_operator_string_exit_two(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(
@@ -256,7 +303,14 @@ class TestConfigValueErrors:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize(
-        "override", [["--n-list", "a,b"], ["--n-list", "0,2"], ["--solver", "lsqr"]]
+        "override",
+        [
+            ["--n-list", "a,b"],
+            ["--n-list", "0,2"],
+            ["--n-list", "4,2"],
+            ["--solver", "lsqr"],
+            ["--tol", "abc"],
+        ],
     )
     def test_bad_override_exit_two(self, tmp_path, override):
         argv = ["run", "volterra-g1", *override, "--out", str(tmp_path / "o.csv")]
