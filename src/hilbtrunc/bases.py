@@ -176,13 +176,25 @@ def arnoldi(op: BoundedOperator, g, steps: int):
     overlap for each inner product, the same window for each difference
     and the same bits.  Only the operator sees elements, one per step.
     Data or images holding oscillatory atoms raise CapabilityError.
+
+    Each window keeps the span [first, last + 1) of its nonzero
+    coefficients, and w carries a span holding all of its own: the
+    image's, grown by the span of each term subtracted.  A term whose
+    span misses w's is skipped, its H entry stored as 0j.  That is
+    exact for finite coefficients: every product in <v, w> has a zero
+    factor, so 0j + the sum is +0j; and w - 0j v is w bit for bit,
+    since the first term always copies w into fresh zeros, which turns
+    each -0.0 into +0.0, and no later difference makes a new -0.0.
+    The windows grow as without the skip.  On the shifts from a basis
+    vector this leaves O(1) terms per step instead of k + 1.
     """
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("Krylov construction requires a nonzero seed")
     lo, v = _window(op, g)
-    windows = [(lo, lo + len(v), (1.0 / gnorm) * v)]
-    vectors = [_element(g, lo, windows[0][2])]
+    v = (1.0 / gnorm) * v
+    windows = [(lo, lo + len(v), v, *_span(lo, v))]
+    vectors = [_element(g, lo, v)]
     H = np.zeros((steps + 1, steps), dtype=complex)
     exhausted = False
     done = 0
@@ -191,25 +203,37 @@ def arnoldi(op: BoundedOperator, g, steps: int):
         pre = image.norm()
         lo, w = _window(op, image)
         hi = lo + len(w)
+        # [slo, shi) holds every nonzero coefficient of w
+        slo, shi = _span(lo, w)
         # the first difference goes to a new array, as __add__ makes one:
         # `image` keeps its coefficients, and -0.0 becomes +0.0 as in a sum
         clean = False
         column = []
-        for vlo, vhi, v in windows:
-            # <v, w> over the overlap, summed as Seq.inner / Func.inner do
-            start, stop = max(vlo, lo), min(vhi, hi)
-            hik = 0.0 + 0.0j
-            if start < stop:
+        for vlo, vhi, v, nlo, nhi in windows:
+            meets = nlo < shi and slo < nhi
+            if meets:
+                # <v, w> over the overlap, summed as Seq.inner / Func.inner do
+                start = vlo if vlo > lo else lo
+                stop = vhi if vhi < hi else hi
+                hik = 0.0 + 0.0j
                 hik += np.vdot(v[start - vlo : stop - vlo], w[start - lo : stop - lo])
-            hik = complex(hik)
+                hik = complex(hik)
+            else:
+                hik = 0j
             column.append(hik)
             # w - hik v on the union of the windows, as Func/Seq.__add__ do
             if not clean or vlo < lo or vhi > hi:
-                start, stop = min(lo, vlo), max(hi, vhi)
+                start = vlo if vlo < lo else lo
+                stop = vhi if vhi > hi else hi
                 grown = np.zeros(stop - start, dtype=complex)
                 grown[lo - start : hi - start] += w
                 lo, hi, w, clean = start, stop, grown, True
-            w[vlo - lo : vhi - lo] -= hik * v
+            if meets:
+                w[vlo - lo : vhi - lo] -= hik * v
+                if nlo < slo:
+                    slo = nlo
+                if nhi > shi:
+                    shi = nhi
         H[: k + 1, k] = column
         hn = float(np.linalg.norm(w))
         H[k + 1, k] = hn
@@ -217,8 +241,9 @@ def arnoldi(op: BoundedOperator, g, steps: int):
         if hn <= BREAKDOWN_RTOL * max(pre, 1e-300):
             exhausted = True
             break
-        windows.append((lo, hi, (1.0 / hn) * w))
-        vectors.append(_element(image, lo, windows[-1][2], vectors[k]))
+        v = (1.0 / hn) * w
+        windows.append((lo, hi, v, *_span(lo, v)))
+        vectors.append(_element(image, lo, v, vectors[k]))
     return vectors, H[: done + 1, :done], exhausted
 
 
@@ -234,6 +259,15 @@ def _window(op: BoundedOperator, e):
             "whose coefficients cancel (see ROADMAP.md, open item 4)"
         )
     return 0, e.leg
+
+
+def _span(lo, values):
+    """[first, last + 1) of the nonzero coefficients of the window at `lo`;
+    (lo, lo) when there are none."""
+    nonzero = np.flatnonzero(values)
+    if not len(nonzero):
+        return lo, lo
+    return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
 
 
 def _element(like, lo, values, *sources):

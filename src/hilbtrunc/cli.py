@@ -78,6 +78,8 @@ class TruncationConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.solution_family not in SOLUTION_FAMILIES:
             raise ConfigError(f"unknown solution_family {self.solution_family!r}")
+        if not self.tol >= 0:  # NaN fails too
+            raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -139,7 +139,8 @@ def _kernel_vector(A: np.ndarray) -> Optional[np.ndarray]:
     singular value is above the rank threshold.  The vector is the unit
     vector at the last exactly zero column of A if there is one (no
     factorization), else the last column q of Q in the pivoted QR of
-    A^H (for square A, ||A q|| = |R[-1, -1]|).  That choice also decides
+    A^H (for square A, ||A q|| = |R[-1, -1]|), got by applying the QR's
+    Householder reflectors to e_N.  That choice also decides
     which vector a kernel of more than one dimension yields.  Entries
     below 1e-14 of the peak are snapped to zero, so structurally sparse
     kernels come out exact, and the largest entry is made real and
@@ -153,8 +154,12 @@ def _kernel_vector(A: np.ndarray) -> Optional[np.ndarray]:
     s = singular_values(A)
     if A.shape[1] == len(s) and (len(s) == 0 or s[-1] > RANK_RTOL * max(s[0], 1e-300)):
         return None
-    q, _, _ = scipy.linalg.qr(A.conj().T, pivoting=True)
-    v = q[:, -1]
+    # Q e_N from the Householder reflectors; Q itself is never formed
+    (h, tau), _, _ = scipy.linalg.qr(A.conj().T, pivoting=True, mode="raw")
+    apply_q = scipy.linalg.get_lapack_funcs("unmqr" if np.iscomplexobj(h) else "ormqr", (h,))
+    e = np.zeros((h.shape[0], 1), dtype=h.dtype)
+    e[-1] = 1.0
+    v = apply_q("L", "N", h[:, : tau.size], tau, e, 1)[0][:, 0]
     v[np.abs(v) < 1e-14 * np.max(np.abs(v))] = 0.0
     pivot = v[int(np.argmax(np.abs(v)))]
     v = v * (np.conj(pivot) / abs(pivot))
@@ -208,9 +213,12 @@ def solve_gmres(
     steps, the last built step, and the steps whose Givens residual is
     within tol + RANK_RTOL ||g||; `f_N_coeffs` and `eps_norm` of each
     returned solution come from that solve, and the stopping test reads
-    its residual.  Residual norms are exact: A x - g lies in the
-    spanned frame, so the Hessenberg least-squares value is the ambient
-    norm.
+    its residual.  A x - g lies in the spanned frame, so the Hessenberg
+    least-squares value is the ambient residual norm while the Arnoldi
+    vectors stay orthonormal.  Modified Gram-Schmidt loses that once
+    Ritz values converge (max |U^H U - I| = 0.67 at N = 60 on
+    mult-x:0.75,2, ROADMAP item 8), and the value then need not be the
+    ambient norm.
     """
     gnorm = g.norm()
     if gnorm == 0:

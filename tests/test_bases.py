@@ -220,12 +220,31 @@ class LeftShift(RightShift):
         return self.adjoint_apply(f)
 
 
+class SparseMatrix(RightShift):
+    """The finite matrix with these nonzero entries {(row, col): value},
+    1-indexed, acting on the first coordinates of l2(N)."""
+
+    def __init__(self, entries):
+        super().__init__()
+        n = max(max(key) for key in entries)
+        self.matrix = np.zeros((n, n))
+        for (row, col), value in entries.items():
+            self.matrix[row - 1, col - 1] = value
+
+    def apply(self, f):
+        x = np.zeros(len(self.matrix), dtype=complex)
+        x[f.origin - 1 : f.origin - 1 + len(f.values)] = f.values
+        return Seq("nat", 1, self.matrix @ x)
+
+
 SEQ_DATUM = np.array([1.0, 0.5j, -0.25, 0.0, 0.125])
+GAPPED_DATUM = np.array([1.0, 0.0, 0.0, 0.0, 0.5])
 ARNOLDI_PINS = {
     "volterra": ("volterra", Func.from_poly((0.0, 1.0), [0.3, -1.0, 0.5])),
     "mult-x": ("mult-x:1,2", Func.from_poly((1.0, 2.0), [0.0, 0.0, 1.0])),
     "weighted-shift-nat": ("weighted-right-shift:pow:1,1", Seq("nat", 1, SEQ_DATUM)),
     "weighted-shift-int": ("weighted-right-shift-z:pow1:1,1", Seq("int", -2, SEQ_DATUM)),
+    "right-shift-e1": ("right-shift", Seq.basis_vector(1)),
     "right-shift-e2": ("right-shift", Seq.basis_vector(2)),
     # a copied window keeps -0.0, which the first difference turns into +0.0
     "right-shift-signed-zeros": (
@@ -235,12 +254,30 @@ ARNOLDI_PINS = {
     "mult-seq-breakdown": ("mult-seq:const:3", Seq.basis_vector(1)),
     "mult-seq-pow": ("mult-seq:pow:1,1", Seq("nat", 1, SEQ_DATUM)),
     "left-shift-empty-image": (LeftShift(), Seq("nat", 1, [1.0])),
+    # spans that meet only partly: a gap inside the datum's window
+    "weighted-shift-gapped": ("weighted-right-shift:pow:1,1", Seq("nat", 1, GAPPED_DATUM)),
+    "mult-seq-gapped": ("mult-seq:pow:1,1", Seq("nat", 1, GAPPED_DATUM)),
+    "weighted-shift-int-e0": ("weighted-right-shift-z:pow1:1,1", Seq.basis_vector(0, "int")),
+    # a later vector misses the image but meets a subtracted term, at
+    # roundoff: w's span has to grow below / above the image's
+    "sparse-span-grows-down": (
+        SparseMatrix({(2, 7): 1.0, (4, 4): 1.0, (7, 8): -2.0, (8, 2): -2.0, (8, 4): 1.0}),
+        Seq("nat", 1, [0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0]),
+    ),
+    "sparse-span-grows-up": (
+        SparseMatrix({(1, 3): 0.1, (2, 3): 0.5, (3, 2): -1.0, (4, 2): 0.5, (5, 1): -1.0}),
+        Seq("nat", 1, [0.0, 1.0, 0.0, 1.0, 0.0]),
+    ),
 }
 
 
 class TestArnoldiOnWindows:
-    @pytest.mark.parametrize("steps", [0, 1, 7, 60])
-    @pytest.mark.parametrize("case", sorted(ARNOLDI_PINS))
+    @pytest.mark.parametrize(
+        "case, steps",
+        [(case, steps) for steps in (0, 1, 7, 60) for case in sorted(ARNOLDI_PINS)]
+        # the length of the benchmark's shift runs
+        + [("right-shift-e1", 280)],
+    )
     def test_bitwise_equal_to_elementwise_mgs(self, case, steps):
         """The coefficient windows give H and every vector of the
         element-by-element recursion bit for bit, signed zeros included."""
@@ -256,6 +293,23 @@ class TestArnoldiOnWindows:
                 assert got.origin == ref.origin and bitwise_equal(got.values, ref.values)
             else:
                 assert got.osc == ref.osc == {} and bitwise_equal(got.leg, ref.leg)
+
+    @pytest.mark.parametrize("case", ["right-shift-e1", "weighted-shift-int-e0"])
+    def test_shift_work_is_linear_in_steps(self, monkeypatch, case):
+        """Terms whose nonzero coefficients cannot meet take no inner
+        product: O(steps) calls to np.vdot, not steps (steps + 1) / 2."""
+        spec, g = ARNOLDI_PINS[case]
+        calls = []
+        vdot = np.vdot
+
+        def counting_vdot(a, b):
+            calls.append(None)
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", counting_vdot)
+        steps = 200
+        arnoldi(parse_operator(spec), g, steps)
+        assert len(calls) <= steps
 
     def test_breakdown_cases_break_down(self):
         assert arnoldi(parse_operator("mult-seq:const:3"), Seq.basis_vector(1), 5)[2]

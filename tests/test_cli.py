@@ -248,6 +248,24 @@ class TestConfigValueErrors:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_not_a_non_negative_number_exit_two(self, tmp_path, tol):
+        """A NaN tolerance never stops GMRES; a negative one means nothing."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+            f"[truncation]\ntrial = krylov\nn_list = 2,4\nsolver = gmres\ntol = {tol}\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        argv = ["run", "mult-g2", "--solver", "gmres", "--tol", tol]
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "p.csv").exists()
+
+    def test_infinite_tol_allowed(self, tmp_path):
+        argv = ["run", "mult-g2", "--solver", "gmres", "--tol", "inf", "--n-list", "2,4"]
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+
     def test_bad_operator_string_exit_two(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(
