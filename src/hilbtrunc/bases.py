@@ -26,7 +26,9 @@ class OrthonormalBasis:
     """An enumerable orthonormal family (1-indexed).
 
     `size` is None for unbounded families; finite families (Krylov,
-    adversarial) report their length and refuse larger indices.
+    adversarial) report their length and refuse larger indices.  `has`
+    says whether there is an n-th element; a Krylov family finds out by
+    running its recursion (see KrylovBasis).
     Generated elements are memoized; the cache is plain and should not
     be shared across threads mid-population.
 
@@ -42,6 +44,10 @@ class OrthonormalBasis:
     size: Optional[int] = None
     place: Optional[Callable[[np.ndarray], object]] = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def has(self, n: int) -> bool:
+        """Whether the family has an n-th element."""
+        return self.size is None or n <= self.size
 
     def element(self, n: int):
         if n < 1:
@@ -62,13 +68,54 @@ class OrthonormalBasis:
 class KrylovBasis(OrthonormalBasis):
     """Arnoldi vectors plus the rectangular Hessenberg matrix they satisfy.
 
-    With m = size vectors, `hessenberg` has shape (m, m-1) and
+    The family runs its Arnoldi recursion on demand: asking for an
+    element, or whether there is one, builds the vectors up to it.
+    `size` is the most vectors the family may have, lowered to the
+    number built once the recursion breaks down.  `hessenberg` holds
+    the steps built so far: with m vectors its shape is (m, m-1) and
     A U_{m-1} = U_m H holds columnwise; on exhaustion the shape is
     (m+1, m) instead, the near-zero trailing row certifying breakdown.
     """
 
-    hessenberg: np.ndarray = None
-    exhausted: bool = False
+    recursion: "Arnoldi" = field(default=None, repr=False)
+
+    @classmethod
+    def start(cls, op: BoundedOperator, g, size: int) -> "KrylovBasis":
+        """The family of at most `size` Arnoldi vectors of span{g, Ag, ...},
+        with only the first one built."""
+        if size < 1:
+            raise ValueError(f"need N >= 1, got {size}")
+        recursion = Arnoldi(op, g, size - 1)
+        return cls(
+            label=f"krylov[{op.label}]",
+            space=op.space,
+            generator=lambda n: recursion.vectors[n - 1],
+            size=size,
+            recursion=recursion,
+        )
+
+    @property
+    def hessenberg(self) -> np.ndarray:
+        return self.recursion.hessenberg
+
+    @property
+    def exhausted(self) -> bool:
+        return self.recursion.exhausted
+
+    def has(self, n: int) -> bool:
+        """Whether the family has an n-th element: runs the recursion
+        until it holds n vectors, its last step or its breakdown."""
+        recursion = self.recursion
+        if n > len(recursion.vectors) and not recursion.exhausted:
+            recursion.run(min(n, self.size) - 1)
+            if recursion.exhausted:
+                self.size = len(recursion.vectors)
+        return n <= self.size
+
+    def element(self, n: int):
+        if n > len(self.recursion.vectors):
+            self.has(n)
+        return super().element(n)
 
 
 def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
@@ -160,15 +207,17 @@ def fourier_basis(interval) -> OrthonormalBasis:
     )
 
 
-def arnoldi(op: BoundedOperator, g, steps: int):
-    """Modified Gram-Schmidt Arnoldi on g, Ag, A^2 g, ...
+class Arnoldi:
+    """Modified Gram-Schmidt Arnoldi on g, Ag, A^2 g, ..., one step at a time.
 
-    Returns (vectors, hessenberg, exhausted).  Without breakdown there
-    are steps+1 orthonormal vectors and hessenberg has shape
-    (steps+1, steps), satisfying A U_m = U_{m+1} H columnwise.  On
-    breakdown at step m the recursion stops with m vectors; hessenberg
-    keeps shape (m+1, m) with a near-zero trailing subdiagonal entry so
-    least-squares consumers can still use the final column.
+    Holds the orthonormal `vectors` built so far and the Hessenberg
+    matrix `H`, allocated with shape (steps+1, steps) for at most
+    `steps` steps; `done` steps have filled its leading columns.  Step
+    k computes column k of H and vector k+1, satisfying
+    A U_k = U_{k+1} H[:k+1, :k] columnwise.  On breakdown at step k the
+    recursion is `exhausted`: it keeps k vectors and the near-zero
+    trailing subdiagonal entry H[k, k-1], so least-squares consumers can
+    still use the final column.
 
     The orthogonalization runs on coefficient windows, Legendre
     coefficients from degree 0 or a sequence's stored indices, with the
@@ -188,17 +237,34 @@ def arnoldi(op: BoundedOperator, g, steps: int):
     The windows grow as without the skip.  On the shifts from a basis
     vector this leaves O(1) terms per step instead of k + 1.
     """
-    gnorm = g.norm()
-    if gnorm == 0:
-        raise ValueError("Krylov construction requires a nonzero seed")
-    lo, v = _window(op, g)
-    v = (1.0 / gnorm) * v
-    windows = [(lo, lo + len(v), v, *_span(lo, v))]
-    vectors = [_element(g, lo, v)]
-    H = np.zeros((steps + 1, steps), dtype=complex)
-    exhausted = False
-    done = 0
-    for k in range(steps):
+
+    def __init__(self, op: BoundedOperator, g, steps: int):
+        gnorm = g.norm()
+        if gnorm == 0:
+            raise ValueError("Krylov construction requires a nonzero seed")
+        self.op = op
+        lo, v = _window(op, g)
+        v = (1.0 / gnorm) * v
+        self._windows = [(lo, lo + len(v), v, *_span(lo, v))]
+        self.vectors = [_element(g, lo, v)]
+        self.H = np.zeros((steps + 1, steps), dtype=complex)
+        self.done = 0
+        self.exhausted = False
+
+    @property
+    def hessenberg(self) -> np.ndarray:
+        """The leading block of H the steps so far have filled."""
+        return self.H[: self.done + 1, : self.done]
+
+    def run(self, steps: int):
+        """Step until `steps` steps are done or the recursion breaks down."""
+        while self.done < steps and not self.exhausted:
+            self.step()
+
+    def step(self):
+        """Run the next step: one column of H and, unless it breaks down,
+        one more vector."""
+        op, windows, vectors, k = self.op, self._windows, self.vectors, self.done
         image = op.apply(vectors[k])
         pre = image.norm()
         lo, w = _window(op, image)
@@ -234,17 +300,30 @@ def arnoldi(op: BoundedOperator, g, steps: int):
                     slo = nlo
                 if nhi > shi:
                     shi = nhi
+        H = self.H
         H[: k + 1, k] = column
         hn = float(np.linalg.norm(w))
         H[k + 1, k] = hn
-        done = k + 1
+        self.done = k + 1
         if hn <= BREAKDOWN_RTOL * max(pre, 1e-300):
-            exhausted = True
-            break
+            self.exhausted = True
+            return
         v = (1.0 / hn) * w
         windows.append((lo, hi, v, *_span(lo, v)))
         vectors.append(_element(image, lo, v, vectors[k]))
-    return vectors, H[: done + 1, :done], exhausted
+
+
+def arnoldi(op: BoundedOperator, g, steps: int):
+    """`steps` steps of the Arnoldi recursion (see `Arnoldi`) on g.
+
+    Returns (vectors, hessenberg, exhausted).  Without breakdown there
+    are steps+1 orthonormal vectors and hessenberg has shape
+    (steps+1, steps); on breakdown at step m there are m vectors and
+    the shape is (m+1, m).
+    """
+    recursion = Arnoldi(op, g, steps)
+    recursion.run(steps)
+    return recursion.vectors, recursion.hessenberg, recursion.exhausted
 
 
 def _window(op: BoundedOperator, e):
@@ -279,22 +358,15 @@ def _element(like, lo, values, *sources):
 
 
 def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:
-    """First N Arnoldi vectors of span{g, Ag, A^2 g, ...}.
+    """First N Arnoldi vectors of span{g, Ag, A^2 g, ...}, all built.
 
     If the recursion breaks down at step m < N the basis has m elements
-    and `exhausted` is set.
+    and `exhausted` is set.  The solvers start the same family with one
+    vector instead (`KrylovBasis.start`) and step it as they go.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    vectors, H, exhausted = arnoldi(op, g, N - 1)
-    return KrylovBasis(
-        label=f"krylov[{op.label}]",
-        space=op.space,
-        generator=lambda n: vectors[n - 1],
-        size=len(vectors),
-        hessenberg=H,
-        exhausted=exhausted,
-    )
+    basis = KrylovBasis.start(op, g, N)
+    basis.has(N)  # runs the recursion to its last step or its breakdown
+    return basis
 
 
 def svd_bases(op: BoundedOperator):

@@ -69,7 +69,8 @@ def evaluate(
 
     Without `f_exact` a residual-only record is returned (error fields
     None).  Component traces use the declared trial/test bases and skip
-    indices beyond a finite family.
+    indices beyond a finite family; a Krylov family runs its recursion
+    to an index to find out whether it has one.
     """
     fhat = lift(sol, trial)
     res_el = g - op.apply(fhat)
@@ -86,10 +87,10 @@ def evaluate(
     comps = []
     for n in tracked:
         err_c = None
-        if err_el is not None and (trial.size is None or n <= trial.size):
+        if err_el is not None and trial.has(n):
             err_c = inner(trial.element(n), err_el)
         res_c = None
-        if test.size is None or n <= test.size:
+        if test.has(n):
             res_c = inner(test.element(n), res_el)
         comps.append((n, err_c, res_c))
     return ConvergenceRecord(

@@ -20,6 +20,7 @@ from hilbtrunc.operators import (
 )
 from hilbtrunc.bases import (
     BREAKDOWN_RTOL,
+    KrylovBasis,
     adversarial_test_basis,
     arnoldi,
     canonical_basis,
@@ -177,6 +178,34 @@ class TestKrylovBasis:
 
     def test_size_limit_enforced(self):
         kb = krylov_basis(RightShift(), Seq.basis_vector(1), 3)
+        with pytest.raises(IndexError):
+            kb.element(4)
+
+
+class TestKrylovBasisOnDemand:
+    """A started Krylov family builds its vectors when they are asked for,
+    with the recursion an eagerly built basis runs."""
+
+    def test_elements_are_built_on_demand_bit_for_bit(self):
+        op = MultiplicationX((1.0, 2.0))
+        g = Func.from_poly((1.0, 2.0), [0, 0, 1])
+        kb = KrylovBasis.start(op, g, 30)
+        assert kb.size == 30 and kb.hessenberg.shape == (1, 0) and not kb.exhausted
+        ref = krylov_basis(op, g, 30)
+        assert bitwise_equal(kb.element(12).leg, ref.element(12).leg)
+        assert kb.hessenberg.shape == (12, 11)
+        assert kb.has(30) and kb.hessenberg.shape == (30, 29)
+        assert not kb.has(31) and kb.hessenberg.shape == (30, 29)
+        assert bitwise_equal(kb.hessenberg, ref.hessenberg)
+        for n in range(1, 31):
+            assert bitwise_equal(kb.element(n).leg, ref.element(n).leg)
+
+    def test_breakdown_found_on_demand_lowers_the_size(self):
+        op, g = MultiplicationSeq(power_law(1.0, 1.0)), Seq("nat", 1, SEQ_DATUM[:3])
+        kb = KrylovBasis.start(op, g, 10)
+        assert kb.has(3) and not kb.exhausted and kb.size == 10
+        assert not kb.has(4) and kb.exhausted and kb.size == 3
+        assert kb.hessenberg.shape == (4, 3)
         with pytest.raises(IndexError):
             kb.element(4)
 

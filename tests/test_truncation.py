@@ -724,6 +724,282 @@ class TestSolveCg:
             solve_cg(op, Seq.basis_vector(1), 5)
 
 
+def eager_solve_gmres(op, g, N_max, tol=1e-10, steps=None):
+    """solve_gmres as it was before it stopped the recursion at
+    convergence: all N_max + 1 Arnoldi vectors first, then the Givens
+    residuals and the solves.  The reference for the step-wise solver."""
+    gnorm = g.norm()
+    if gnorm == 0:
+        raise ValueError("gmres needs a nonzero datum")
+    basis = krylov_basis(op, g, N_max + 1)
+    H = basis.hessenberg
+    last = H.shape[1]
+    wanted = range(1, last + 1) if steps is None else set(steps)
+    near = givens_residuals(H, gnorm) <= tol + RANK_RTOL * gnorm
+    sols = []
+    for n in range(1, last + 1):
+        if not (n in wanted or n == last or near[n - 1]):
+            continue
+        rhs = np.zeros(n + 1, dtype=complex)
+        rhs[0] = gnorm
+        y = truncation.qr_least_squares(H[: n + 1, :n], rhs)
+        res = float(np.linalg.norm(H[: n + 1, :n] @ y - rhs))
+        stop = res <= tol
+        if n in wanted or n == last or stop:
+            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=res, solver="gmres", iterations=n))
+        if stop:
+            break
+    return sols, basis
+
+
+def eager_solve_cg(op, g, N_max, f0=None, steps=None):
+    """solve_cg as it was before it stopped the recursion at convergence:
+    all N_max + 1 Arnoldi vectors first, then a Cholesky check and a
+    dense Galerkin solve at every step.  The reference for the step-wise
+    solver."""
+    if not (op.self_adjoint and op.positive):
+        raise CapabilityError(
+            f"conjugate gradients needs a self-adjoint positive operator; "
+            f"{op.label} is not"
+        )
+    x0 = (0.0 * g) if f0 is None else f0
+    r0 = g - op.apply(x0)
+    rnorm0 = r0.norm()
+    floor = 1e-15 * max(g.norm(), 1.0)
+    if rnorm0 <= floor:
+        sol = ApproxSolution(
+            f_N_coeffs=np.zeros(0, dtype=complex), eps_norm=0.0, solver="cg",
+            iterations=0, element=x0,
+        )
+        return [sol], None
+    basis = krylov_basis(op, r0, N_max + 1)
+    H = basis.hessenberg
+    last = H.shape[1]
+    wanted = range(1, last + 1) if steps is None else set(steps)
+    sols = []
+    for n in range(1, last + 1):
+        T = H[:n, :n]
+        try:
+            np.linalg.cholesky(0.5 * (T + T.conj().T))
+        except np.linalg.LinAlgError:
+            raise CapabilityError(
+                f"{op.label} is not positive on the Krylov space (T_{n} is "
+                f"not positive definite)"
+            ) from None
+        rhs = np.zeros(n, dtype=complex)
+        rhs[0] = rnorm0
+        y = np.linalg.solve(T, rhs)
+        stop = n == last or abs(H[n, n - 1] * y[-1]) <= floor
+        if n in wanted or stop:
+            sols.append(
+                ApproxSolution(
+                    f_N_coeffs=y,
+                    eps_norm=float(np.linalg.norm(T @ y - rhs)),
+                    solver="cg",
+                    iterations=n,
+                    element=x0 + lincomb(y, basis.elements(n)),
+                )
+            )
+        if stop:
+            break
+    return sols, basis
+
+
+def indefinite_mult_x():
+    """Multiplication by x on [-0.5, 2], flagged positive: T_1 to T_3
+    are positive definite, T_4 is not."""
+    op = MultiplicationX((-0.5, 2.0))
+    op.positive = True
+    return op, Func.from_poly((-0.5, 2.0), [0, 0, 1])
+
+
+CG_PROBLEMS = {
+    "mult-x": (MultiplicationX((1.0, 2.0)), Func.from_poly((1.0, 2.0), [0, 0, 1])),
+    "mult-x-0.75": (MultiplicationX((0.75, 2.0)), Func.from_poly((0.75, 2.0), [0.3, 1, 0.5])),
+    "mult-x-0.7": (MultiplicationX((0.7, 1.9)), Func.from_poly((0.7, 1.9), [0, 0, 1])),
+    # spectrum down to 0: no early stop
+    "mult-x-0-1": (MultiplicationX((0.0, 1.0)), Func.from_poly((0.0, 1.0), [0.3, 1, 0.5])),
+    "mult-x-0-1-x2": (MultiplicationX((0.0, 1.0)), Func.from_poly((0.0, 1.0), [0, 0, 1])),
+    # the Krylov space is exhausted after three steps
+    "mult-seq": GMRES_PROBLEMS["mult-seq"],
+}
+
+EAGER_STEPS = [None, (1, 2, 5, 10, 20, 50)]
+
+
+def assert_same_solutions(got, want):
+    """Same steps, with bitwise the same coordinates, defects and
+    (for CG) iterates."""
+    assert [s.iterations for s in got] == [s.iterations for s in want]
+    for a, b in zip(got, want):
+        assert_same_bits(a.f_N_coeffs, b.f_N_coeffs)
+        assert a.eps_norm == b.eps_norm and a.solver == b.solver
+        if b.element is None:
+            assert a.element is None
+        elif isinstance(b.element, Seq):
+            assert a.element.origin == b.element.origin
+            assert_same_bits(a.element.values, b.element.values)
+        else:
+            assert a.element.osc == b.element.osc == {}
+            assert_same_bits(a.element.leg, b.element.leg)
+
+
+class TestKrylovMatchesEagerReference:
+    """The step-wise solvers return bitwise what the solvers that built
+    every Arnoldi vector first returned."""
+
+    @pytest.mark.parametrize("steps", EAGER_STEPS)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.0])
+    @pytest.mark.parametrize("name", sorted(GMRES_PROBLEMS))
+    def test_gmres(self, name, tol, steps):
+        op, g = GMRES_PROBLEMS[name]
+        sols, kb = solve_gmres(op, g, 60, tol=tol, steps=steps)
+        ref, ref_kb = eager_solve_gmres(op, g, 60, tol=tol, steps=steps)
+        assert_same_solutions(sols, ref)
+        assert kb.label == ref_kb.label
+
+    @pytest.mark.parametrize("steps", EAGER_STEPS)
+    @pytest.mark.parametrize("name", sorted(CG_PROBLEMS))
+    def test_cg(self, name, steps):
+        op, g = CG_PROBLEMS[name]
+        sols, kb = solve_cg(op, g, 60, steps=steps)
+        ref, ref_kb = eager_solve_cg(op, g, 60, steps=steps)
+        assert_same_solutions(sols, ref)
+        assert kb.label == ref_kb.label
+
+    def test_cg_with_an_initial_guess(self):
+        op, g = CG_PROBLEMS["mult-x-0.75"]
+        f0 = Func.from_poly((0.75, 2.0), [1.0, -0.5])
+        assert_same_solutions(solve_cg(op, g, 40, f0=f0)[0], eager_solve_cg(op, g, 40, f0=f0)[0])
+
+    def test_exhausted_space_has_the_same_basis(self):
+        op, g = GMRES_PROBLEMS["mult-seq"]
+        for solve, eager in ((solve_gmres, eager_solve_gmres), (solve_cg, eager_solve_cg)):
+            _, kb = solve(op, g, 20, steps=(1,))
+            _, ref_kb = eager(op, g, 20, steps=(1,))
+            assert kb.exhausted and ref_kb.exhausted and kb.size == ref_kb.size == 3
+            assert_same_bits(kb.hessenberg, ref_kb.hessenberg)
+
+    @pytest.mark.parametrize(
+        "make,first",
+        [
+            (indefinite_mult_x, "T_4"),
+            # T_1 = 0 is singular, and the space is exhausted at once
+            (lambda: (MultiplicationSeq(constant_law(0.0)), Seq.basis_vector(1)), "T_1"),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [None, (50,)])
+    def test_cg_not_positive_definite_same_message(self, make, first, steps):
+        op, g = make()
+        with pytest.raises(CapabilityError) as ref:
+            eager_solve_cg(op, g, 30, steps=steps)
+        with pytest.raises(CapabilityError) as got:
+            solve_cg(op, g, 30, steps=steps)
+        assert str(got.value) == str(ref.value)
+        assert f"({first} is not positive definite)" in str(ref.value)
+
+
+def _krylov_ini(operator, datum, n_list, solver, exact=None):
+    exact_line = f"exact_solution = {exact}\n" if exact else ""
+    return (
+        f"[problem]\noperator = {operator}\ndatum = {datum}\n{exact_line}"
+        f"[truncation]\ntrial = krylov\ntest = krylov\nn_list = {n_list}\n"
+        f"solver = {solver}\ntol = 1e-10\n"
+        "[output]\ncsv = out.csv\ntracked = 1,2,3,5,10,40\n"
+    )
+
+
+class TestKrylovCsvMatchesEagerReference:
+    """CLI runs write the same bytes as with the eager solvers patched in,
+    tracked components past the stop and blanks past a breakdown included."""
+
+    def _both(self, tmp_path, monkeypatch, text):
+        from hilbtrunc import cli
+
+        (tmp_path / "k.ini").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "k.ini", "--out", "new.csv"]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "solve_gmres", eager_solve_gmres)
+            m.setattr(cli, "solve_cg", eager_solve_cg)
+            assert cli.main(["run", "k.ini", "--out", "ref.csv"]) == 0
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        return new.decode().splitlines()
+
+    @pytest.mark.parametrize("solver", ["gmres", "cg"])
+    def test_stop_before_a_tracked_component(self, tmp_path, monkeypatch, solver):
+        lines = self._both(
+            tmp_path, monkeypatch,
+            _krylov_ini("mult-x:1,2", "poly:0,0,1", "5,10,50", solver, exact="poly:0,1"),
+        )
+        header = lines.index(next(l for l in lines if l.startswith("N,")))
+        columns = lines[header].split(",")
+        rows = [l.split(",") for l in lines[header + 1 :]]
+        stop = int(rows[-1][0])
+        assert stop < 40
+        # the 40th Krylov vector exists: its components are written
+        assert all(r[columns.index("res_c_40")] and r[columns.index("err_c_40")] for r in rows)
+
+    @pytest.mark.parametrize("solver", ["gmres", "cg"])
+    def test_breakdown(self, tmp_path, monkeypatch, solver):
+        lines = self._both(
+            tmp_path, monkeypatch, _krylov_ini("mult-seq:pow:1,1", "basis-e:2", "1,2,4", solver)
+        )
+        header = lines.index(next(l for l in lines if l.startswith("N,")))
+        columns = lines[header].split(",")
+        rows = [l.split(",") for l in lines[header + 1 :]]
+        assert [r[0] for r in rows] == ["1"]
+        assert rows[0][columns.index("res_c_1")] and not rows[0][columns.index("res_c_2")]
+
+
+class TestKrylovWork:
+    def test_gmres_applies_the_operator_only_up_to_the_stop(self, monkeypatch):
+        """volterra at N_max = 240 stops at step 191: one apply per step
+        taken, not one per vector of N_max + 1."""
+        op, g = GMRES_PROBLEMS["volterra"]
+        calls = []
+        apply = Volterra.apply
+
+        def counted(self, f):
+            calls.append(None)
+            return apply(self, f)
+
+        monkeypatch.setattr(Volterra, "apply", counted)
+        sols, kb = solve_gmres(op, g, 240, tol=1e-10)
+        stop = sols[-1].iterations
+        assert stop == 191 and kb.hessenberg.shape[1] == stop
+        assert len(calls) <= stop + 1
+
+    @pytest.mark.parametrize(
+        "name,steps", [("mult-x-0-1", (5, 10, 20, 40)), ("mult-x", (2, 4)), ("mult-x-0.7", None)]
+    )
+    def test_cg_solves_only_returned_and_near_floor_steps(self, monkeypatch, name, steps):
+        op, g = CG_PROBLEMS[name]
+        ref, ref_kb = eager_solve_cg(op, g, 60)
+        H = ref_kb.hessenberg
+        floor = 1e-15 * max(g.norm(), 1.0)
+        near = sum(
+            abs(H[s.iterations, s.iterations - 1] * s.f_N_coeffs[-1])
+            <= 2 * truncation.CG_FLOOR_MARGIN * floor
+            for s in ref
+        )
+        counts = {"solve": 0, "cholesky": 0}
+        for fname in counts:
+            original = getattr(np.linalg, fname)
+
+            def counted(*args, _original=original, _name=fname):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(np.linalg, fname, counted)
+        sols, _ = solve_cg(op, g, 60, steps=steps)
+        assert counts["solve"] <= len(sols) + near + 1
+        assert counts["cholesky"] == 1
+        if name == "mult-x-0-1":
+            assert near == 0 and sols[-1].iterations == 60
+
+
 class TestAsymptoticConsistency:
     def test_exact_solution_coefficients_solve_asymptotically(self):
         """For the integration problem in the Fourier pair, the truncated
