@@ -64,60 +64,6 @@ class OrthonormalBasis:
         return [self.element(k) for k in range(1, n + 1)]
 
 
-@dataclass
-class KrylovBasis(OrthonormalBasis):
-    """Arnoldi vectors plus the rectangular Hessenberg matrix they satisfy.
-
-    The family runs its Arnoldi recursion on demand: asking for an
-    element, or whether there is one, builds the vectors up to it.
-    `size` is the most vectors the family may have, lowered to the
-    number built once the recursion breaks down.  `hessenberg` holds
-    the steps built so far: with m vectors its shape is (m, m-1) and
-    A U_{m-1} = U_m H holds columnwise; on exhaustion the shape is
-    (m+1, m) instead, the near-zero trailing row certifying breakdown.
-    """
-
-    recursion: "Arnoldi" = field(default=None, repr=False)
-
-    @classmethod
-    def start(cls, op: BoundedOperator, g, size: int) -> "KrylovBasis":
-        """The family of at most `size` Arnoldi vectors of span{g, Ag, ...},
-        with only the first one built."""
-        if size < 1:
-            raise ValueError(f"need N >= 1, got {size}")
-        recursion = Arnoldi(op, g, size - 1)
-        return cls(
-            label=f"krylov[{op.label}]",
-            space=op.space,
-            generator=lambda n: recursion.vectors[n - 1],
-            size=size,
-            recursion=recursion,
-        )
-
-    @property
-    def hessenberg(self) -> np.ndarray:
-        return self.recursion.hessenberg
-
-    @property
-    def exhausted(self) -> bool:
-        return self.recursion.exhausted
-
-    def has(self, n: int) -> bool:
-        """Whether the family has an n-th element: runs the recursion
-        until it holds n vectors, its last step or its breakdown."""
-        recursion = self.recursion
-        if n > len(recursion.vectors) and not recursion.exhausted:
-            recursion.run(min(n, self.size) - 1)
-            if recursion.exhausted:
-                self.size = len(recursion.vectors)
-        return n <= self.size
-
-    def element(self, n: int):
-        if n > len(self.recursion.vectors):
-            self.has(n)
-        return super().element(n)
-
-
 def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
     """Canonical sequence basis; Z-indexed enumeration is 0, +1, -1, +2, ..."""
     if domain == "nat":
@@ -207,17 +153,21 @@ def fourier_basis(interval) -> OrthonormalBasis:
     )
 
 
-class Arnoldi:
-    """Modified Gram-Schmidt Arnoldi on g, Ag, A^2 g, ..., one step at a time.
+class KrylovBasis(OrthonormalBasis):
+    """Modified Gram-Schmidt Arnoldi on g, Ag, A^2 g, ..., run on demand.
 
-    Holds the orthonormal `vectors` built so far and the Hessenberg
-    matrix `H`, allocated with shape (steps+1, steps) for at most
-    `steps` steps; `done` steps have filled its leading columns.  Step
-    k computes column k of H and vector k+1, satisfying
-    A U_k = U_{k+1} H[:k+1, :k] columnwise.  On breakdown at step k the
-    recursion is `exhausted`: it keeps k vectors and the near-zero
-    trailing subdiagonal entry H[k, k-1], so least-squares consumers can
-    still use the final column.
+    The family of at most `size` Arnoldi vectors of span{g, Ag, ...}
+    starts with one vector; `step()` runs one step of the recursion, and
+    asking for an element, or whether there is one (`has`), steps until
+    it is built.  `H` is allocated with shape (size, size-1) for the
+    size asked for, and `done` steps have filled its leading columns.
+    Step k computes column k of H and vector k+1, satisfying
+    A U_k = U_{k+1} H[:k+1, :k] columnwise; `hessenberg` is that
+    leading block, of shape (m, m-1) with m vectors.  On breakdown at
+    step k the recursion is `exhausted`: `size` drops to the k vectors
+    built, and the near-zero trailing subdiagonal entry H[k, k-1] is
+    kept (shape (k+1, k)), so least-squares consumers can still use the
+    final column and it certifies the breakdown.
 
     The orthogonalization runs on coefficient windows, Legendre
     coefficients from degree 0 or a sequence's stored indices, with the
@@ -238,16 +188,27 @@ class Arnoldi:
     vector this leaves O(1) terms per step instead of k + 1.
     """
 
-    def __init__(self, op: BoundedOperator, g, steps: int):
+    def __init__(self, op: BoundedOperator, g, size: int):
+        if size < 1:
+            raise ValueError(f"need N >= 1, got {size}")
         gnorm = g.norm()
         if gnorm == 0:
             raise ValueError("Krylov construction requires a nonzero seed")
-        self.op = op
         lo, v = _window(op, g)
         v = (1.0 / gnorm) * v
+        vectors = [_element(g, lo, v)]
+        # the generator holds the list, not the basis: no reference cycle
+        # keeps a dropped basis and its H alive until a garbage collection
+        super().__init__(
+            label=f"krylov[{op.label}]",
+            space=op.space,
+            generator=lambda n: vectors[n - 1],
+            size=size,
+        )
+        self.op = op
         self._windows = [(lo, lo + len(v), v, *_span(lo, v))]
-        self.vectors = [_element(g, lo, v)]
-        self.H = np.zeros((steps + 1, steps), dtype=complex)
+        self.vectors = vectors
+        self.H = np.zeros((size, size - 1), dtype=complex)
         self.done = 0
         self.exhausted = False
 
@@ -256,14 +217,21 @@ class Arnoldi:
         """The leading block of H the steps so far have filled."""
         return self.H[: self.done + 1, : self.done]
 
-    def run(self, steps: int):
-        """Step until `steps` steps are done or the recursion breaks down."""
-        while self.done < steps and not self.exhausted:
+    def has(self, n: int) -> bool:
+        """Whether the family has an n-th element: steps until it holds
+        n vectors, its last vector or its breakdown."""
+        while len(self.vectors) < min(n, self.size):
             self.step()
+        return n <= self.size
 
-    def step(self):
+    def element(self, n: int):
+        self.has(n)
+        return super().element(n)
+
+    def step(self) -> bool:
         """Run the next step: one column of H and, unless it breaks down,
-        one more vector."""
+        one more vector; a breakdown lowers `size` to the vectors built.
+        Returns whether another step can follow."""
         op, windows, vectors, k = self.op, self._windows, self.vectors, self.done
         image = op.apply(vectors[k])
         pre = image.norm()
@@ -307,23 +275,24 @@ class Arnoldi:
         self.done = k + 1
         if hn <= BREAKDOWN_RTOL * max(pre, 1e-300):
             self.exhausted = True
-            return
+            self.size = k + 1
+            return False
         v = (1.0 / hn) * w
         windows.append((lo, hi, v, *_span(lo, v)))
-        vectors.append(_element(image, lo, v, vectors[k]))
+        vectors.append(_element(image, lo, v))
+        return k + 2 < self.size
 
 
 def arnoldi(op: BoundedOperator, g, steps: int):
-    """`steps` steps of the Arnoldi recursion (see `Arnoldi`) on g.
+    """`steps` steps of the Arnoldi recursion (see `KrylovBasis`) on g.
 
     Returns (vectors, hessenberg, exhausted).  Without breakdown there
     are steps+1 orthonormal vectors and hessenberg has shape
     (steps+1, steps); on breakdown at step m there are m vectors and
     the shape is (m+1, m).
     """
-    recursion = Arnoldi(op, g, steps)
-    recursion.run(steps)
-    return recursion.vectors, recursion.hessenberg, recursion.exhausted
+    basis = krylov_basis(op, g, steps + 1)
+    return basis.vectors, basis.hessenberg, basis.exhausted
 
 
 def _window(op: BoundedOperator, e):
@@ -349,23 +318,22 @@ def _span(lo, values):
     return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
 
 
-def _element(like, lo, values, *sources):
-    """The element of `like`'s space with these coefficients; a function
-    is approximate if `like` or any source is."""
+def _element(like, lo, values):
+    """The element of `like`'s space with these coefficients."""
     if isinstance(like, Seq):
         return Seq(like.domain, lo, values)
-    return Func(like.interval, values, {}, any(e.approximate for e in (like, *sources)))
+    return Func(like.interval, values, {})
 
 
 def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:
     """First N Arnoldi vectors of span{g, Ag, A^2 g, ...}, all built.
 
     If the recursion breaks down at step m < N the basis has m elements
-    and `exhausted` is set.  The solvers start the same family with one
-    vector instead (`KrylovBasis.start`) and step it as they go.
+    and `exhausted` is set.  The solvers construct the same family, with
+    one vector built, and step it as they go.
     """
-    basis = KrylovBasis.start(op, g, N)
-    basis.has(N)  # runs the recursion to its last step or its breakdown
+    basis = KrylovBasis(op, g, N)
+    basis.has(N)
     return basis
 
 
@@ -388,7 +356,7 @@ def svd_bases(op: BoundedOperator):
     return trial, test
 
 
-def _working_family(op: BoundedOperator, trial: OrthonormalBasis) -> OrthonormalBasis:
+def _working_family(op: BoundedOperator) -> OrthonormalBasis:
     """Ambient orthonormal frame used for finite-horizon constructions."""
     if op.space[0] == "seq":
         return canonical_basis(op.space[1])
@@ -399,22 +367,16 @@ def adversarial_test_basis(
     op: BoundedOperator,
     trial: OrthonormalBasis,
     n_max: int,
-    horizon: int,
 ) -> OrthonormalBasis:
     """Test family making every truncation of op against `trial` singular.
 
     Inductively picks v_N of unit norm orthogonal to A u_1, ..., A u_N
     and to v_1, ..., v_{N-1}, so row N of each compression vanishes.
-    The construction runs on a `horizon`-dimensional window of an
-    ambient orthonormal frame; a null vector of the stacked constraint
-    matrix is extracted via complete QR.
+    The construction runs on the first 4 n_max elements of an ambient
+    orthonormal frame, more than the 2 n_max - 1 constraints; a null
+    vector of the stacked constraint matrix is extracted via complete QR.
     """
-    if horizon < 2 * n_max:
-        raise ValueError(
-            f"horizon {horizon} too small: need at least 2*n_max = {2 * n_max}"
-        )
-    frame = _working_family(op, trial)
-    frame_elems = frame.elements(horizon)
+    frame_elems = _working_family(op).elements(4 * n_max)
     # coordinates of A u_j in the working frame
     images = [op.apply(trial.element(j + 1)) for j in range(n_max)]
     image_coords = inner_matrix(frame_elems, images).T
@@ -422,11 +384,8 @@ def adversarial_test_basis(
     for N in range(1, n_max + 1):
         rows = [image_coords[j] for j in range(N)] + test_coords
         constraints = np.conj(np.array(rows))
-        rank = len(rows)  # < horizon by the precondition
-        if rank >= horizon:
-            raise ValueError("constraint matrix has full row rank on the horizon")
         q, _ = np.linalg.qr(constraints.conj().T, mode="complete")
-        candidates = q[:, rank:]
+        candidates = q[:, len(rows):]
         residuals = np.linalg.norm(constraints @ candidates, axis=0)
         v = candidates[:, int(np.argmin(residuals))]
         # canonical phase: largest-modulus coordinate made real positive

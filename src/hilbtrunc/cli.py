@@ -349,7 +349,7 @@ def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
         if trial is None:
             raise ConfigError("adversarial works as a test basis only")
         n = min(n_max, trial.size or n_max)
-        return adversarial_test_basis(op, trial, n, horizon=4 * n)
+        return adversarial_test_basis(op, trial, n)
     raise ConfigError(f"unknown basis {name!r}")
 
 
@@ -527,8 +527,8 @@ def run(config: ExperimentConfig, out: Optional[str] = None) -> Path:
 def _demo_bad_truncation(lines):
     op = _build_operator("volterra")
     trial = legendre_basis(op.space[1])
-    n_max, horizon = 20, 80
-    test = adversarial_test_basis(op, trial, n_max, horizon)
+    n_max = 20
+    test = adversarial_test_basis(op, trial, n_max)
     datum = Func.zero(op.space[1])
     base = compress(op, trial, test, n_max, datum)
     ok = True

@@ -36,7 +36,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -65,7 +64,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
-    return QuadratureRule(a + half * (x + 1.0), half * w, order)
+    return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
 def qr_least_squares(A: np.ndarray, b) -> np.ndarray:

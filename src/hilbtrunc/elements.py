@@ -33,7 +33,6 @@ import numpy as np
 import scipy.sparse
 from scipy.special import jv
 
-from . import core
 from .core import SpaceMismatchError
 
 # Legendre x oscillatory moments are memoized in blocks of this many
@@ -237,14 +236,11 @@ class Func:
 
     `leg[n]` multiplies the orthonormal shifted Legendre polynomial of
     degree n; `osc[(m, w)]` multiplies x^m e^{iwx} with w != 0.
-    `approximate` marks a sampled projection and whatever is built from
-    one.
     """
 
     interval: tuple
     leg: np.ndarray
     osc: dict
-    approximate: bool = False
 
     @staticmethod
     def zero(interval) -> "Func":
@@ -273,21 +269,6 @@ class Func:
     def from_osc(interval, terms: dict) -> "Func":
         return Func(interval, np.zeros(0, dtype=complex), dict(terms))
 
-    @staticmethod
-    def from_callable(fn, interval, degree: int) -> "Func":
-        """Project a callable onto the Legendre family up to `degree`.
-
-        This is the sampled fallback for data with no catalogued form;
-        the projection coefficients come from Gauss-Legendre quadrature
-        of order degree + 16.  The result is flagged approximate.
-        """
-        a, b = interval
-        rule = core.gauss_legendre(degree + 16, a, b)
-        lvals = legendre_values(interval, degree, rule.nodes)
-        fv = np.asarray(fn(rule.nodes), dtype=complex)
-        coeffs = lvals @ (rule.weights * fv)
-        return Func(interval, coeffs, {}, approximate=True)
-
     def __post_init__(self):
         self.leg = np.asarray(self.leg, dtype=complex)
 
@@ -306,7 +287,7 @@ class Func:
         osc = dict(self.osc)
         for key, c in other.osc.items():
             osc[key] = osc.get(key, 0.0) + c
-        return Func(self.interval, leg, osc, self.approximate or other.approximate)
+        return Func(self.interval, leg, osc)
 
     def __sub__(self, other: "Func") -> "Func":
         return self + (-1.0) * other
@@ -316,7 +297,6 @@ class Func:
             self.interval,
             scalar * self.leg,
             {k: scalar * c for k, c in self.osc.items()},
-            self.approximate,
         )
 
     def inner(self, other: "Func") -> complex:
@@ -383,7 +363,7 @@ class Func:
         n = len(leg)
         while n > 0 and leg[n - 1] == 0:
             n -= 1
-        return Func(self.interval, leg[:n].copy(), osc, self.approximate)
+        return Func(self.interval, leg[:n].copy(), osc)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +488,7 @@ def lincomb(coeffs, elements):
         values[block.index - lo] = total
         return Seq(block.space[1], lo, values)
     osc = _row_sum(coeffs * block.osc)
-    return Func(
-        block.space[1],
-        total,
-        dict(zip(block.atoms, osc)),
-        any(e.approximate for e in elements),
-    )
+    return Func(block.space[1], total, dict(zip(block.atoms, osc)))
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:

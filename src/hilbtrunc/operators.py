@@ -303,7 +303,7 @@ class Volterra(BoundedOperator):
                 leg = np.zeros(1, dtype=complex)
             leg = leg.copy()
             leg[0] += const  # the constant function is the degree-0 element
-        return Func(f.interval, leg, osc, f.approximate)
+        return Func(f.interval, leg, osc)
 
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
@@ -349,7 +349,7 @@ class MultiplicationX(BoundedOperator):
         self._check_space(f)
         leg = mult_x_leg(f.interval, f.leg)
         osc = {(m + 1, w): c for (m, w), c in f.osc.items()}
-        return Func(f.interval, leg, osc, f.approximate)
+        return Func(f.interval, leg, osc)
 
     adjoint_apply = apply
 

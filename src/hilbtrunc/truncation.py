@@ -12,7 +12,6 @@ which minimizes the energy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -96,14 +95,6 @@ def compress(
             f"space of {op.label}"
         )
     applied = [op.apply(trial.element(j)) for j in range(1, N + 1)]
-    if any(getattr(u, "approximate", False) for u in applied) or getattr(
-        g, "approximate", False
-    ):
-        warnings.warn(
-            "compressing projected (approximate) elements: entries are exact "
-            "only up to the projection degree",
-            stacklevel=2,
-        )
     block = inner_matrix(test.elements(N), applied + [g])
     A, gvec = np.ascontiguousarray(block[:, :N]), np.ascontiguousarray(block[:, N])
     A.flags.writeable = False
@@ -226,14 +217,14 @@ def solve_gmres(
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("gmres needs a nonzero datum")
-    basis = KrylovBasis.start(op, g, N_max + 1)
-    H = basis.recursion.H
+    basis = KrylovBasis(op, g, N_max + 1)
+    H = basis.H
     wanted = range(1, N_max + 1) if steps is None else set(steps)
     rotations = _GivensQR(gnorm, N_max)
     near_bound = tol + RANK_RTOL * gnorm
     sols = []
     for n in range(1, N_max + 1):
-        last = not basis.has(n + 1) or n == N_max  # runs Arnoldi step n
+        last = not basis.step()
         near = rotations.push(H) <= near_bound
         if not (n in wanted or last or near):
             continue
@@ -368,14 +359,14 @@ def solve_cg(
             element=x0,
         )
         return [sol], None
-    basis = KrylovBasis.start(op, r0, N_max + 1)
-    H = basis.recursion.H
+    basis = KrylovBasis(op, r0, N_max + 1)
+    H = basis.H
     wanted = range(1, N_max + 1) if steps is None else set(steps)
     rotations = _GivensQR(rnorm0, N_max)
     near_bound = CG_FLOOR_MARGIN * floor
     sols = []
     for n in range(1, N_max + 1):
-        last = not basis.has(n + 1) or n == N_max  # runs Arnoldi step n
+        last = not basis.step()
         rotations.push(H)
         near = rotations.galerkin_residual <= near_bound
         if not (n in wanted or last or near):
@@ -401,7 +392,7 @@ def solve_cg(
             )
         if stop:
             break
-    _check_positive(op, H, basis.recursion.done)
+    _check_positive(op, H, basis.done)
     return sols, basis
 
 

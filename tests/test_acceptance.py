@@ -165,7 +165,7 @@ def test_criterion_6_cg_contraction_and_energy():
 def test_criterion_7_adversarial_truncations_singular():
     """The constructed test family makes every truncation singular."""
     leg = legendre_basis((0.0, 1.0))
-    adv = adversarial_test_basis(VOLTERRA, leg, 20, horizon=80)
+    adv = adversarial_test_basis(VOLTERRA, leg, 20)
     base = compress(VOLTERRA, leg, adv, 20, G1)
     worst = 0.0
     for N in range(1, 21):

@@ -108,12 +108,6 @@ class TestFunc:
             f.eval_at(xs).real, 1.0 - 2.0 * xs + 0.5 * xs ** 2, atol=1e-13
         )
 
-    def test_from_callable_projection(self):
-        f = Func.from_callable(np.exp, (0.0, 1.0), degree=20)
-        assert f.approximate
-        xs = np.linspace(0.0, 1.0, 7)
-        np.testing.assert_allclose(f.eval_at(xs).real, np.exp(xs), atol=1e-12)
-
     def test_interval_mismatch_rejected(self):
         with pytest.raises(SpaceMismatchError):
             Func.from_leg((0.0, 1.0), [1.0]) + Func.from_leg((1.0, 2.0), [1.0])

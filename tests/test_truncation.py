@@ -85,14 +85,6 @@ class TestCompress:
         with pytest.raises(CapabilityError):
             compress(Volterra(), canonical_basis(), canonical_basis(), 3, Seq.zero())
 
-    def test_projected_datum_warns_and_proceeds(self):
-        op = Volterra()
-        leg = legendre_basis((0.0, 1.0))
-        datum = Func.from_callable(np.exp, (0.0, 1.0), degree=12)
-        with pytest.warns(UserWarning):
-            p = compress(op, leg, leg, 4, datum)
-        assert p.N == 4
-
     def test_entries_read_only(self):
         op = MultiplicationSeq(power_law(1.0, 1.0))
         basis = canonical_basis()
@@ -206,7 +198,6 @@ class TestLiftPlacement:
         else:
             assert placed.interval == summed.interval
             assert placed.osc == summed.osc == {}
-            assert placed.approximate is summed.approximate is False
             got, want = placed.leg, summed.leg
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(got == want)
@@ -225,7 +216,7 @@ class TestLiftPlacement:
             fourier_basis((0.0, 1.0)),
             krylov_basis(op, g, 6),
             *svd_bases(op),
-            adversarial_test_basis(op, legendre, 3, 6),
+            adversarial_test_basis(op, legendre, 3),
         ]
         calls = []
 
