@@ -381,7 +381,6 @@ class TestArnoldiOnWindows:
         assert exhausted and len(vectors) == 1 and H.shape == (2, 1)
 
 
-
 class AtomicVolterra(Volterra):
     """Integration followed by adding e^{2ix}: images hold an atom."""
 
@@ -487,6 +486,24 @@ class TestAdversarialBasis:
         test = adversarial_test_basis(op, trial, 8)
         np.testing.assert_allclose(gram(test, 8), np.eye(8), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "op,trial",
+        [
+            (Volterra(), legendre_basis((0.0, 1.0))),
+            (WeightedRightShift(power_law(1.0, 1.0)), canonical_basis()),
+        ],
+    )
+    def test_family_lies_in_the_first_four_n_max_frame_elements(self, op, trial):
+        """The fixed horizon: each v_N is a unit combination of exactly the
+        first 4 n_max elements of the working frame (Legendre polynomials
+        or canonical vectors), whose coefficients are its coordinates."""
+        n_max = 5
+        test = adversarial_test_basis(op, trial, n_max)
+        for v in test.elements(n_max):
+            coords = v.leg if isinstance(v, Func) else v.values
+            assert isinstance(v, Func) or v.origin == 1
+            assert len(coords) == 4 * n_max
+            assert abs(np.linalg.norm(coords) - 1.0) < 1e-12
 
 
 class TestCompletenessInPractice:

@@ -1,6 +1,7 @@
 """Tests for compression, lifting, and the three solver paths."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestCompress:
     def test_space_mismatch_rejected(self):
         with pytest.raises(CapabilityError):
             compress(Volterra(), canonical_basis(), canonical_basis(), 3, Seq.zero())
+
+    def test_projected_datum_compresses_without_warning(self):
+        """A datum given by a quadrature projection of exp is compressed like
+        any other Legendre datum: no warning, g_N its leading coefficients."""
+        op = Volterra()
+        leg = legendre_basis((0.0, 1.0))
+        rule = gauss_legendre(40, 0.0, 1.0)
+        coeffs = [
+            np.sum(rule.weights * np.conj(e.eval_at(rule.nodes)) * np.exp(rule.nodes))
+            for e in leg.elements(13)
+        ]
+        datum = Func.from_leg((0.0, 1.0), coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = compress(op, leg, leg, 4, datum)
+        assert p.N == 4
+        np.testing.assert_allclose(p.g_N, coeffs[:4], rtol=0, atol=1e-15)
 
     def test_entries_read_only(self):
         op = MultiplicationSeq(power_law(1.0, 1.0))
@@ -961,6 +979,23 @@ class TestKrylovWork:
         stop = sols[-1].iterations
         assert stop == 191 and kb.hessenberg.shape[1] == stop
         assert len(calls) <= stop + 1
+
+    def test_cg_steps_the_recursion_only_up_to_the_stop(self, monkeypatch):
+        """mult-x at N_max = 60 stops at step 20: one step and one apply
+        per iterate, plus the apply of the initial residual."""
+        op, g = CG_PROBLEMS["mult-x"]
+        calls = []
+        apply = MultiplicationX.apply
+
+        def counted(self, f):
+            calls.append(None)
+            return apply(self, f)
+
+        monkeypatch.setattr(MultiplicationX, "apply", counted)
+        sols, kb = solve_cg(op, g, 60)
+        stop = sols[-1].iterations
+        assert stop == 20 and kb.done == stop and len(kb.vectors) == stop + 1
+        assert len(calls) == stop + 1 and kb.size == 61 and not kb.exhausted
 
     @pytest.mark.parametrize(
         "name,steps", [("mult-x-0-1", (5, 10, 20, 40)), ("mult-x", (2, 4)), ("mult-x-0.7", None)]
