@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from .core import CapabilityError
-from .elements import Func, Seq, inner_matrix, lincomb
+from .elements import CoordinateBlock, Func, Seq, inner_matrix, stack
 from .operators import BoundedOperator
 
 #: Relative tolerance below which a new Arnoldi direction counts as zero.
@@ -32,17 +33,19 @@ class OrthonormalBasis:
     Generated elements are memoized; the cache is plain and should not
     be shared across threads mid-population.
 
-    `place` is set on coordinate frames, whose n-th element is a single
-    ambient coordinate (a Legendre degree or a sequence index): it maps
-    N coefficients to their combination of the first N elements by
-    putting each at its coordinate, with the values `lincomb` gives.
+    `coordinates` is set on coordinate frames, whose n-th element is a
+    single ambient coordinate (a Legendre degree or a sequence index).
+    The coordinates of the first N elements fill one window of N, and
+    coordinates(N) gives its first coordinate and each element's offset
+    in it.  A frame's `block` and `place` come from them alone, with no
+    element built.
     """
 
     label: str
     space: tuple
     generator: Callable[[int], object]
     size: Optional[int] = None
-    place: Optional[Callable[[np.ndarray], object]] = field(default=None, repr=False)
+    coordinates: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def has(self, n: int) -> bool:
@@ -63,25 +66,53 @@ class OrthonormalBasis:
     def elements(self, n: int):
         return [self.element(k) for k in range(1, n + 1)]
 
+    def block(self, N: int, sparse: bool = False) -> CoordinateBlock:
+        """The first N elements as a coordinate block.
+
+        A coordinate frame's row n holds a single 1 at the n-th
+        coordinate; `sparse` makes that an O(N) sparse selection, else
+        it is dense with each element's coefficients contiguous.  Any
+        other family stacks its elements.
+        """
+        if self.coordinates is None:
+            return stack(self.elements(N))[0]
+        lo, at = self.coordinates(N)
+        if sparse:
+            coords = scipy.sparse.csr_array(
+                (np.ones(N, dtype=complex), at, np.arange(N + 1)), shape=(N, N)
+            )
+        else:  # laid out as the operators' kernels read it: coordinates down axis 0
+            columns = np.zeros((N, N), dtype=complex)
+            columns[at, np.arange(N)] = 1.0
+            coords = columns.T
+        if self.space[0] == "func":
+            return CoordinateBlock(self.space, coords, np.zeros((N, 0), dtype=complex))
+        return CoordinateBlock(self.space, coords, index=np.arange(lo, lo + N))
+
+    def place(self, coeffs):
+        """The combination of a coordinate frame's first len(coeffs)
+        elements: each coefficient put at its element's coordinate.  The
+        entries equal `lincomb`'s up to the sign of a zero."""
+        lo, at = self.coordinates(len(coeffs))
+        values = np.zeros(len(at), dtype=complex)
+        values[at] = coeffs
+        if self.space[0] == "func":
+            return Func(self.space[1], values, {})
+        return Seq(self.space[1], lo, values)
+
 
 def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
     """Canonical sequence basis; Z-indexed enumeration is 0, +1, -1, +2, ..."""
     if domain == "nat":
         gen = lambda n: Seq.basis_vector(n, "nat")
-
-        def place(coeffs):
-            return Seq("nat", 1, np.array(coeffs, dtype=complex))
-
+        coordinates = lambda N: (1, np.arange(N))
     elif domain == "int":
         gen = lambda n: Seq.basis_vector(fourier_mode_number(n), "int")
 
-        def place(coeffs):
-            # the first N indices 0, +1, -1, ... fill one window
-            k = fourier_mode_number(np.arange(1, len(coeffs) + 1))
-            lo = int(k.min())
-            values = np.zeros(len(k), dtype=complex)
-            values[k - lo] = coeffs
-            return Seq("int", lo, values)
+        def coordinates(N):
+            # the first N indices 0, +1, -1, ... fill [-((N - 1) // 2), N // 2]
+            lo = -((N - 1) // 2)
+            return lo, fourier_mode_number(np.arange(1, N + 1)) - lo
 
     else:
         raise ValueError(f"unknown sequence domain {domain!r}")
@@ -89,7 +120,7 @@ def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
         label=f"canonical[{domain}]",
         space=("seq", domain),
         generator=gen,
-        place=place,
+        coordinates=coordinates,
     )
 
 
@@ -108,14 +139,11 @@ def legendre_basis(interval) -> OrthonormalBasis:
         coeffs[n - 1] = 1.0
         return Func.from_leg((a, b), coeffs)
 
-    def place(coeffs):
-        return Func((a, b), np.array(coeffs, dtype=complex), {})
-
     return OrthonormalBasis(
         label=f"legendre[{a:g},{b:g}]",
         space=("func", (a, b)),
         generator=gen,
-        place=place,
+        coordinates=lambda N: (0, np.arange(N)),
     )
 
 
@@ -375,11 +403,14 @@ def adversarial_test_basis(
     The construction runs on the first 4 n_max elements of an ambient
     orthonormal frame, more than the 2 n_max - 1 constraints; a null
     vector of the stacked constraint matrix is extracted via complete QR.
+    The images come from one block application, their frame
+    coordinates from the frame's block, and v_N is placed at the frame's
+    coordinates: no frame element is built.
     """
-    frame_elems = _working_family(op).elements(4 * n_max)
+    frame = _working_family(op)
     # coordinates of A u_j in the working frame
-    images = [op.apply(trial.element(j + 1)) for j in range(n_max)]
-    image_coords = inner_matrix(frame_elems, images).T
+    images = op.apply_block(trial.block(n_max))
+    image_coords = inner_matrix(frame.block(4 * n_max, sparse=True), images).T
     test_coords = []
     for N in range(1, n_max + 1):
         rows = [image_coords[j] for j in range(N)] + test_coords
@@ -395,7 +426,7 @@ def adversarial_test_basis(
         test_coords.append(v)
 
     def gen(n):
-        return lincomb(test_coords[n - 1], frame_elems)
+        return frame.place(test_coords[n - 1])
 
     return OrthonormalBasis(
         label=f"adversarial[{op.label};{trial.label}]",

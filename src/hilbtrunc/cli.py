@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
@@ -309,6 +310,8 @@ def parse_element(text: str, op: BoundedOperator):
             coeffs = [float(v) for v in rest.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad poly spec {text!r}") from exc
+        if not all(map(math.isfinite, coeffs)):
+            raise ConfigError(f"bad poly spec {text!r}: coefficients must be finite")
         return Func.from_poly(op.space[1], coeffs)
     if head == "basis-e":
         if not seq_space:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -70,21 +70,29 @@ def legendre_values(interval, max_degree: int, x) -> np.ndarray:
     return out * scale[:, None]
 
 
+def _down(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """`values`, one per row of `coeffs`, shaped to act down its axis 0."""
+    return values if coeffs.ndim == 1 else values[:, None]
+
+
 def mult_x_leg(interval, coeffs: np.ndarray) -> np.ndarray:
-    """Legendre coefficients of x*f given those of f (exact recurrence)."""
+    """Legendre coefficients of x*f given those of f (exact recurrence).
+
+    A 2-D `coeffs` holds one expansion per column, degrees down axis 0.
+    """
     a, b = interval
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     n = len(coeffs)
     if n == 0:
-        return np.zeros(0, dtype=complex)
-    out = np.zeros(n + 1, dtype=complex)
-    idx = np.arange(n, dtype=float)
+        return np.zeros(coeffs.shape, dtype=complex)
+    out = np.zeros((n + 1,) + coeffs.shape[1:], dtype=complex)
+    idx = _down(np.arange(n, dtype=float), coeffs)
     up = (idx + 1.0) / np.sqrt((2 * idx + 1) * (2 * idx + 3))
     out[:n] += c * coeffs
     out[1 : n + 1] += h * up * coeffs
     if n > 1:
-        j = np.arange(1, n, dtype=float)
+        j = idx[1:]
         down = j / np.sqrt((2 * j - 1) * (2 * j + 1))
         out[: n - 1] += h * down * coeffs[1:]
     return out
@@ -94,16 +102,17 @@ def integrate_leg01(coeffs: np.ndarray) -> np.ndarray:
     """Legendre coefficients on [0, 1] of x -> integral_0^x f, exact.
 
     Uses the antiderivative identity for Legendre polynomials; the
-    result of integrating a degree-d expansion has degree d+1.
+    result of integrating a degree-d expansion has degree d+1.  A 2-D
+    `coeffs` holds one expansion per column, degrees down axis 0.
     """
     n = len(coeffs)
-    out = np.zeros(n + 1, dtype=complex)
+    out = np.zeros((n + 1,) + coeffs.shape[1:], dtype=complex)
     if n == 0:
         return out
     out[0] += 0.5 * coeffs[0]
     out[1] += coeffs[0] / (2.0 * _SQRT3)
     if n > 1:
-        j = np.arange(1, n, dtype=float)
+        j = _down(np.arange(1, n, dtype=float), coeffs)
         up = 1.0 / (2.0 * np.sqrt((2 * j + 1) * (2 * j + 3)))
         down = 1.0 / (2.0 * np.sqrt((2 * j + 1) * (2 * j - 1)))
         out[2 : n + 1] += up * coeffs[1:]
@@ -444,7 +453,7 @@ class Seq:
     def mapped(self, fn) -> "Seq":
         """Multiply each component by fn(index)."""
         idx = np.arange(self.origin, self.origin + len(self.values))
-        return Seq(self.domain, self.origin, self.values * fn(idx))
+        return Seq(self.domain, self.origin, map_by_index(self.values, idx, fn))
 
     def shifted(self, step: int) -> "Seq":
         """Shift indices by `step`; nat-indexed content falling below 1 is dropped."""
@@ -455,6 +464,12 @@ class Seq:
             values = values[cut:]
             origin = 1
         return Seq(self.domain, origin, values.copy())
+
+
+def map_by_index(values: np.ndarray, index: np.ndarray, fn) -> np.ndarray:
+    """values[k] * fn(index[k]): sequence coefficients at `index`, or a
+    2-D block of them with one column per element, indices down axis 0."""
+    return values * _down(fn(index), values)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +523,30 @@ class CoordinateBlock:
     """Elements of one space as the rows of coefficient matrices.
 
     `coords` holds each element's coefficients on the Legendre degrees
-    0, 1, ... of a function, or on the sorted sequence indices `index`.
-    `osc` holds a function's coefficients on the oscillatory atoms
-    x^m e^{iwx} listed in `atoms`, sorted by (m, w): a product then sums
-    each entry in an order that depends only on its two elements, not on
-    the rest of the block.
+    0, 1, ... of a function, or on the sorted sequence indices `index`;
+    it is a dense array, or a sparse one for a coordinate frame's
+    selection (see `OrthonormalBasis.block`).  `osc` holds a function's
+    coefficients on the oscillatory atoms x^m e^{iwx} listed in `atoms`,
+    sorted by (m, w): a product then sums each entry in an order that
+    depends only on its two elements, not on the rest of the block.
     """
 
     space: tuple
-    coords: np.ndarray
+    coords: object
     osc: Optional[np.ndarray] = None
     atoms: tuple = ()
     index: Optional[np.ndarray] = None
+
+    def mapped(self, fn) -> "CoordinateBlock":
+        """Every coefficient at sequence index n multiplied by fn(n)."""
+        return replace(self, coords=map_by_index(self.coords.T, self.index, fn).T)
+
+    def shifted(self, step: int) -> "CoordinateBlock":
+        """Sequence indices moved by `step`; nat-indexed columns falling
+        below 1 are dropped."""
+        index = self.index + step
+        cut = int(np.searchsorted(index, 1)) if self.space[1] == "nat" else 0
+        return replace(self, coords=self.coords[:, cut:], index=index[cut:])
 
 
 def stack(*lists) -> list:
@@ -582,29 +609,81 @@ def _stored_indices(seqs) -> np.ndarray:
 def inner_matrix(tests, elements) -> np.ndarray:
     """The matrix [<v_i, u_j>] for v_i in `tests` and u_j in `elements`.
 
-    With V and U the coordinate blocks of the two lists this is V^H G U,
-    G being the Gram matrix of their columns: the identity on Legendre
+    Each argument is a list of elements or a coordinate block; lists are
+    stacked together.  With V and U the two blocks this is V^H G U, G
+    being the Gram matrix of their columns: the identity on Legendre
     degrees and sequence indices, the moments int L_k x^m e^{iwx}
     between a degree and an atom, and iosc between two atoms (once per
     distinct m1 + m2, w2 - w1).  The products are sparse: a row of V
     holding a single 1 (a Legendre or canonical basis vector) copies
     its row of G U exactly.
     """
-    V, U = stack(tests, elements)
-    sparse = scipy.sparse.csr_array
+    V, U = _blocks(tests, elements)
     # the Legendre (or sequence) rows of G U
     GU = U.coords
+    width = GU.shape[1]
     if V.space[0] == "func":
-        interval, degrees = V.space[1], GU.shape[1]
-        if U.atoms:
-            GU = GU + sparse(U.osc) @ _moments(interval, U.atoms, degrees).T
-    A = sparse(V.coords.conj()) @ GU.T
+        interval = V.space[1]
+        if U.atoms:  # an atom meets every degree of V
+            width = max(width, V.coords.shape[1])
+            GU = _sparse(U.osc) @ _moments(interval, U.atoms, width).T
+            GU[:, : U.coords.shape[1]] += U.coords
+    A = _rows_on(V, U, width) @ GU.T
     if V.atoms:
         # the atom rows of G U: moments of U's degrees, iosc of U's atoms
-        moments = _moments(interval, V.atoms, degrees)
+        moments = _moments(interval, V.atoms, U.coords.shape[1])
         gram = _atom_gram(interval, V.atoms, U.atoms)
-        A += sparse(V.osc.conj()) @ (sparse(U.coords) @ moments.conj() + sparse(U.osc) @ gram.T).T
+        A += _sparse(V.osc.conj()) @ (_sparse(U.coords) @ moments.conj() + _sparse(U.osc) @ gram.T).T
     return A
+
+
+def _blocks(tests, elements):
+    """The coordinate blocks of the two arguments of `inner_matrix`."""
+    lists = [x for x in (tests, elements) if not isinstance(x, CoordinateBlock)]
+    stacked = iter(stack(*lists) if lists else ())
+    V, U = (x if isinstance(x, CoordinateBlock) else next(stacked) for x in (tests, elements))
+    if V.space != U.space:
+        raise SpaceMismatchError(f"cannot pair elements of {V.space} with elements of {U.space}")
+    return V, U
+
+
+def _rows_on(V, U, width):
+    """conj(V) as a CSR matrix on the `width` columns of G U (U's
+    Legendre degrees, or U's sequence indices), so that its product
+    with (G U)^T is V^H G U.  A column of V that G U lacks would meet
+    zeros only, and a sum started at +0, as the sparse product starts,
+    is the same without them, so it is dropped."""
+    rows, cols, values = _nonzeros(V.coords)
+    if V.index is None:
+        keep = cols < width
+    else:
+        pos = np.searchsorted(U.index, V.index)
+        found = pos < len(U.index)
+        found[found] = U.index[pos[found]] == V.index[found]
+        keep, cols = found[cols], pos[cols]
+    return _csr(rows[keep], cols[keep], values[keep].conj(), (V.coords.shape[0], width))
+
+
+def _nonzeros(x):
+    """(rows, columns, values) of the nonzero entries of a dense or CSR
+    matrix, row by row, each row in column order."""
+    if scipy.sparse.issparse(x):
+        return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices, x.data
+    rows, cols = np.nonzero(x)
+    return rows, cols, x[rows, cols]
+
+
+def _csr(rows, cols, values, shape):
+    """The CSR matrix of entries listed row by row, each row in column
+    order: what scipy makes of the dense matrix, in one step."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_array((values, cols, indptr), shape=shape)
+
+
+def _sparse(x: np.ndarray):
+    """A dense matrix as a CSR matrix of its nonzero entries."""
+    return _csr(*_nonzeros(x), x.shape)
 
 
 def _moments(interval, atoms, degrees: int) -> np.ndarray:

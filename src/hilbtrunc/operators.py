@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import CapabilityError, SpaceMismatchError
 from .elements import (
+    CoordinateBlock,
     Func,
     Seq,
     integrate_leg01,
@@ -135,7 +136,17 @@ class BoundedOperator:
                     f"{self.label} acts on functions on {self.space[1]}"
                 )
 
+    def _check_block(self, block: CoordinateBlock):
+        if block.space != self.space:
+            raise SpaceMismatchError(f"{self.label} acts on {self.space}, not {block.space}")
+
     def apply(self, f):
+        raise NotImplementedError
+
+    def apply_block(self, block: CoordinateBlock) -> CoordinateBlock:
+        """The images of a block's elements, as one block: the same
+        arithmetic as `apply`, on all elements at once.  A subclass that
+        overrides `apply` overrides this too."""
         raise NotImplementedError
 
     def adjoint_apply(self, f):
@@ -147,7 +158,7 @@ class BoundedOperator:
 
 def _validate_weight_law(law: SequenceLaw, start: int):
     n = np.arange(start, start + _LAW_CHECK_WINDOW)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         vals = np.asarray(law(n), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"weight law {law.name} is not finite from index {start}")
@@ -169,7 +180,10 @@ class MultiplicationSeq(BoundedOperator):
     kind = "multiplication_seq"
 
     def __init__(self, law: SequenceLaw):
-        probe = np.asarray(law(np.arange(1, _LAW_CHECK_WINDOW + 1)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            probe = np.asarray(law(np.arange(1, _LAW_CHECK_WINDOW + 1)))
+        if not np.all(np.isfinite(probe)):
+            raise ValueError(f"law {law.name} is not finite on the indices >= 1")
         is_real = bool(np.all(np.isreal(probe)))
         peak = float(np.max(np.abs(probe)))
         super().__init__(
@@ -188,6 +202,10 @@ class MultiplicationSeq(BoundedOperator):
         self._check_space(f)
         return f.mapped(self.law)
 
+    def apply_block(self, block):
+        self._check_block(block)
+        return block.mapped(self.law)
+
     def adjoint_apply(self, f: Seq) -> Seq:
         self._check_space(f)
         return f.mapped(lambda n: np.conj(self.law(n)))
@@ -204,6 +222,10 @@ class RightShift(BoundedOperator):
     def apply(self, f: Seq) -> Seq:
         self._check_space(f)
         return f.shifted(+1)
+
+    def apply_block(self, block):
+        self._check_block(block)
+        return block.shifted(+1)
 
     def adjoint_apply(self, f: Seq) -> Seq:
         self._check_space(f)
@@ -228,6 +250,10 @@ class WeightedRightShift(BoundedOperator):
     def apply(self, f: Seq) -> Seq:
         self._check_space(f)
         return f.mapped(self.law).shifted(+1)
+
+    def apply_block(self, block):
+        self._check_block(block)
+        return block.mapped(self.law).shifted(+1)
 
     def adjoint_apply(self, f: Seq) -> Seq:
         # adjoint maps e_{n+1} -> sigma_n e_n
@@ -269,6 +295,10 @@ class WeightedRightShiftZ(BoundedOperator):
         self._check_space(f)
         return f.mapped(self._abs_law).shifted(+1)
 
+    def apply_block(self, block):
+        self._check_block(block)
+        return block.mapped(self._abs_law).shifted(+1)
+
     def adjoint_apply(self, f: Seq) -> Seq:
         self._check_space(f)
         return f.shifted(-1).mapped(self._abs_law)
@@ -290,20 +320,21 @@ class Volterra(BoundedOperator):
     def apply(self, f: Func) -> Func:
         self._check_space(f)
         leg = integrate_leg01(f.leg)
-        osc: dict = {}
-        const = 0.0 + 0.0j
-        for (m, w), c in f.osc.items():
-            coeffs = osc_antiderivative(m, w)
-            for j, cj in enumerate(coeffs):
-                key = (j, w)
-                osc[key] = osc.get(key, 0.0) + c * cj
-            const -= c * coeffs[0]
+        osc, const = _integrate_atoms(f.osc.items())
         if const != 0:
-            if len(leg) == 0:
-                leg = np.zeros(1, dtype=complex)
-            leg = leg.copy()
             leg[0] += const  # the constant function is the degree-0 element
         return Func(f.interval, leg, osc)
+
+    def apply_block(self, block):
+        self._check_block(block)
+        leg = integrate_leg01(block.coords.T)
+        osc, const = _integrate_atoms(zip(block.atoms, block.osc.T))
+        leg[0] += const
+        atoms = sorted(osc)
+        columns = np.array([osc[key] for key in atoms], dtype=complex)
+        return CoordinateBlock(
+            self.space, leg.T, columns.reshape(len(atoms), leg.shape[1]).T, tuple(atoms)
+        )
 
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
@@ -335,6 +366,8 @@ class MultiplicationX(BoundedOperator):
 
     def __init__(self, interval):
         a, b = (float(interval[0]), float(interval[1]))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval [{a}, {b}] is not finite")
         if not a < b:
             raise ValueError(f"degenerate interval [{a}, {b}]")
         super().__init__(
@@ -351,7 +384,29 @@ class MultiplicationX(BoundedOperator):
         osc = {(m + 1, w): c for (m, w), c in f.osc.items()}
         return Func(f.interval, leg, osc)
 
+    def apply_block(self, block):
+        self._check_block(block)
+        leg = mult_x_leg(self.space[1], block.coords.T)
+        atoms = tuple((m + 1, w) for m, w in block.atoms)
+        return CoordinateBlock(self.space, leg.T, block.osc, atoms)
+
     adjoint_apply = apply
+
+
+def _integrate_atoms(terms):
+    """Integral from 0 of the terms c x^m e^{iwx}, for ((m, w), c) in
+    `terms`: ({(j, w): coefficient}, constant), the constant being the
+    value at 0 subtracted.  c is one coefficient, or a column of them,
+    one per element of a block."""
+    osc: dict = {}
+    const = 0.0 + 0.0j
+    for (m, w), c in terms:
+        coeffs = osc_antiderivative(m, w)
+        for j, cj in enumerate(coeffs):
+            key = (j, w)
+            osc[key] = osc.get(key, 0.0) + c * cj
+        const -= c * coeffs[0]
+    return osc, const
 
 
 def parse_operator(text: str) -> BoundedOperator:

@@ -1,8 +1,9 @@
 """Build N-dimensional truncations, solve them, lift solutions back.
 
 The compression of an operator between the spans of the first N trial
-and test vectors is one product of coordinate blocks built from exact
-applications.  Direct solves use minimum-norm least squares.  The
+and test vectors is one application of the operator to the trial
+coordinate block, and products of the test block with the images and
+with the datum.  Direct solves use minimum-norm least squares.  The
 iterative paths share one Arnoldi basis of the Krylov spaces and its
 Hessenberg matrix: GMRES minimizes the residual over them, conjugate
 gradients (self-adjoint positive operators) solve the Galerkin system,
@@ -83,9 +84,12 @@ def compress(
 
     The inner projections of the compression are redundant at these
     indices, so entries are computed directly from exact applications:
-    the images A u_j and g are stacked with the test elements on one
-    coordinate block and A_N is one product V^H G U, exact for Legendre
-    and canonical test bases.
+    the operator maps the trial block (a coordinate frame's own block,
+    or the stacked trial elements) in one application, and A_N and g_N
+    are `inner_matrix` products of the test block with the images and
+    with g.  A frame's test block is a sparse selection, so on Legendre
+    and canonical frames A_N is the operator's coefficient matrix, bit
+    for bit, and no basis element is built.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -94,9 +98,9 @@ def compress(
             f"bases ({trial.label}, {test.label}) do not live in the ambient "
             f"space of {op.label}"
         )
-    applied = [op.apply(trial.element(j)) for j in range(1, N + 1)]
-    block = inner_matrix(test.elements(N), applied + [g])
-    A, gvec = np.ascontiguousarray(block[:, :N]), np.ascontiguousarray(block[:, N])
+    tests = test.block(N, sparse=True)
+    A = inner_matrix(tests, op.apply_block(trial.block(N)))
+    gvec = inner_matrix(tests, [g])[:, 0]
     A.flags.writeable = False
     gvec.flags.writeable = False
     return TruncatedProblem(
@@ -118,7 +122,7 @@ def lift(sol: ApproxSolution, trial: OrthonormalBasis):
     if sol.element is not None:
         return sol.element
     coeffs = sol.f_N_coeffs
-    if trial.place is not None:
+    if trial.coordinates is not None:
         return trial.place(coeffs)
     return lincomb(coeffs, trial.elements(len(coeffs)))
 

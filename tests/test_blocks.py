@@ -2,13 +2,32 @@
 products on stacked coefficients, checked against the entrywise loops
 they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from hilbtrunc.bases import adversarial_test_basis, fourier_basis, legendre_basis, svd_bases
+from hilbtrunc.bases import (
+    OrthonormalBasis,
+    adversarial_test_basis,
+    canonical_basis,
+    fourier_basis,
+    legendre_basis,
+    svd_bases,
+)
 from hilbtrunc.cli import main, make_basis
 from hilbtrunc.core import CapabilityError, SpaceMismatchError
-from hilbtrunc.elements import Func, Seq, inner, inner_matrix, lincomb, stack
+from hilbtrunc.elements import (
+    Func,
+    Seq,
+    _atom_gram,
+    _moments,
+    inner,
+    inner_matrix,
+    lincomb,
+    stack,
+)
 from hilbtrunc.operators import MultiplicationX, Volterra, parse_operator
 from hilbtrunc.truncation import compress, lift, solve_direct
 
@@ -61,6 +80,114 @@ def entrywise(op, trial, test, N, g):
     tests = test.elements(N)
     A = np.array([[inner(v, au) for au in images] for v in tests])
     return A, np.array([inner(v, g) for v in tests])
+
+
+def reference_compress(op, trial, test, N, g):
+    """The compression as it was built before operators mapped blocks:
+    one `apply` per trial element, and one product of the stacked test
+    elements against the stacked images and g.  Returns (A_N, g_N)."""
+    applied = [op.apply(trial.element(j)) for j in range(1, N + 1)]
+    V, U = stack(test.elements(N), applied + [g])
+    sparse = scipy.sparse.csr_array
+    GU = U.coords
+    if V.space[0] == "func":
+        interval, degrees = V.space[1], GU.shape[1]
+        if U.atoms:
+            GU = GU + sparse(U.osc) @ _moments(interval, U.atoms, degrees).T
+    block = sparse(V.coords.conj()) @ GU.T
+    if V.atoms:
+        moments = _moments(interval, V.atoms, degrees)
+        gram = _atom_gram(interval, V.atoms, U.atoms)
+        block += sparse(V.osc.conj()) @ (sparse(U.coords) @ moments.conj() + sparse(U.osc) @ gram.T).T
+    return block[:, :N], block[:, N]
+
+
+def bitwise_equal(a, b):
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+ATOM_TRIALS = ("fourier", "svd")  # trial elements holding atoms x^m e^{iwx}
+
+
+class TestCompressMatchesReference:
+    """One block application and the shared product give the reference's
+    bits; the bits do not depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize("N", [1, 7, 40])
+    @pytest.mark.parametrize("operator,trial,test", CASES)
+    def test_every_case(self, operator, trial, test, N):
+        op = parse_operator(operator)
+        g = datum_for(op, oscillatory="krylov" not in (trial, test))
+        trial_b, test_b = bases_for(op, g, trial, test, N)
+        n = min(N, trial_b.size or N, test_b.size or N)
+        p = compress(op, trial_b, test_b, n, g)
+        A, gvec = reference_compress(op, trial_b, test_b, n, g)
+        if trial in ATOM_TRIALS:
+            assert np.max(np.abs(p.A_N - A)) <= 1e-12 * max(np.max(np.abs(A)), 1e-300)
+            assert np.max(np.abs(p.g_N - gvec)) <= 1e-12 * np.max(np.abs(gvec))
+        else:
+            assert bitwise_equal(p.A_N, A) and bitwise_equal(p.g_N, gvec)
+
+    @pytest.mark.parametrize("operator", ["volterra", "mult-x:0.6875,2"])
+    def test_legendre_pair_at_640(self, operator):
+        op = parse_operator(operator)
+        g = Func.from_poly(op.space[1], [0.25, -1.0, 0.5])
+        p = compress(op, legendre_basis(op.space[1]), legendre_basis(op.space[1]), 640, g)
+        basis = legendre_basis(op.space[1])
+        A, gvec = reference_compress(op, basis, basis, 640, g)
+        assert bitwise_equal(p.A_N, A) and bitwise_equal(p.g_N, gvec)
+
+
+FRAME_PAIRS = [
+    ("volterra", lambda op: legendre_basis(op.space[1])),
+    ("mult-x:0.6875,2", lambda op: legendre_basis(op.space[1])),
+    ("weighted-right-shift:pow:1,1", lambda op: canonical_basis("nat")),
+    ("right-shift", lambda op: canonical_basis("nat")),
+    ("weighted-right-shift-z:pow1:1,1", lambda op: canonical_basis("int")),
+]
+
+
+@pytest.mark.parametrize("operator,frame", FRAME_PAIRS, ids=[p[0] for p in FRAME_PAIRS])
+def test_frame_pair_builds_no_element_and_applies_no_element(operator, frame, monkeypatch):
+    """A coordinate frame hands over its block: compress generates no
+    basis element and makes no per-element `apply` call, and neither
+    does the adversarial family built against that frame."""
+    op = parse_operator(operator)
+    calls = []
+
+    def counted(method):
+        def call(self, arg):
+            calls.append(method.__name__)
+            return method(self, arg)
+
+        return call
+
+    monkeypatch.setattr(OrthonormalBasis, "element", counted(OrthonormalBasis.element))
+    monkeypatch.setattr(type(op), "apply", counted(type(op).apply))
+    g = datum_for(op, oscillatory=False)
+    basis = frame(op)
+    p = compress(op, basis, basis, 50, g)
+    adversarial_test_basis(op, basis, 8)
+    assert p.A_N.shape == (50, 50) and calls == []
+
+
+@pytest.mark.parametrize("operator,frame", FRAME_PAIRS, ids=[p[0] for p in FRAME_PAIRS])
+def test_frame_pair_peak_memory(operator, frame):
+    """The traced peak of compress at N = 640 stays within 4 N^2 complex
+    entries: the trial block, its image and the product, with no dense
+    test block."""
+    op = parse_operator(operator)
+    g = datum_for(op, oscillatory=False)
+    basis = frame(op)
+    tracemalloc.start()
+    try:
+        compress(op, basis, basis, 640, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 640**2 * 16
 
 
 @pytest.mark.parametrize("N", [1, 7, 40])

@@ -275,6 +275,53 @@ class TestConfigValueErrors:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "operator,datum,exact",
+        [
+            ("volterra", "poly:nan", None),
+            ("volterra", "poly:inf,1", None),
+            ("volterra", "poly:1", "poly:nan"),
+            ("volterra", "poly:1", "poly:inf,1"),
+            ("mult-x:0,inf", "poly:1", None),
+        ],
+        ids=["datum-nan", "datum-inf", "exact-nan", "exact-inf", "mult-x-inf"],
+    )
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, operator, datum, exact):
+        """Not a traceback from the least-squares solver, and no CSV of NaNs."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[problem]\noperator = {operator}\ndatum = {datum}\n"
+            + (f"exact_solution = {exact}\n" if exact else "")
+            + "[truncation]\ntrial = legendre\ntest = legendre\nn_list = 2,4\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "operator,message",
+        [
+            ("weighted-right-shift:geom:1,2", "weight law geom:1,2 is not finite from index 1"),
+            ("weighted-right-shift:geom:0,inf", "weight law geom:0,inf is not finite from index 1"),
+            ("mult-seq:geom:1,2", "law geom:1,2 is not finite on the indices >= 1"),
+        ],
+    )
+    def test_non_finite_law_exits_two_without_a_warning(self, tmp_path, operator, message):
+        """The law checks evaluate the law and reject what is not finite:
+        numpy's overflow or invalid-value warning must not reach stderr
+        first."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[problem]\noperator = {operator}\ndatum = basis-e:1\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 2\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        proc = _fresh_python("-m", "hilbtrunc.cli", "run", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"config error: bad operator spec '{operator}': {message}"]
+
     @pytest.mark.parametrize("key", ["datum", "exact_solution"])
     def test_basis_vector_below_one_exit_two(self, tmp_path, key):
         """l2(N) has no index 0: basis-e:0 is a configuration error."""

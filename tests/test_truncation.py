@@ -205,7 +205,7 @@ class TestLiftPlacement:
         the frame's elements only adds +-0 to each, so the two agree
         entry by entry (==, blind to the sign of a zero)."""
         basis = COORDINATE_FRAMES[frame]()
-        assert basis.place is not None
+        assert basis.coordinates is not None
         coeffs = signed_zero_coeffs(N, seed=N)
         placed = lift(ApproxSolution(coeffs, 0.0, "qr", 0), basis)
         summed = lincomb(coeffs, basis.elements(N))
@@ -244,7 +244,7 @@ class TestLiftPlacement:
 
         monkeypatch.setattr(truncation, "lincomb", counted)
         for basis in bases:
-            assert basis.place is None
+            assert basis.coordinates is None
             lift(ApproxSolution(signed_zero_coeffs(3, seed=1), 0.0, "qr", 0), basis)
         assert calls == [3] * len(bases)
         for frame in COORDINATE_FRAMES.values():
