@@ -25,7 +25,10 @@ from hilbtrunc.elements import (
     _moments,
     inner,
     inner_matrix,
+    integrate_leg01,
     lincomb,
+    map_by_index,
+    mult_x_leg,
     stack,
 )
 from hilbtrunc.operators import MultiplicationX, Volterra, parse_operator
@@ -138,6 +141,28 @@ class TestCompressMatchesReference:
         basis = legendre_basis(op.space[1])
         A, gvec = reference_compress(op, basis, basis, 640, g)
         assert bitwise_equal(p.A_N, A) and bitwise_equal(p.g_N, gvec)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        integrate_leg01,
+        lambda c: mult_x_leg((-0.5, 1.25), c),
+        lambda c: map_by_index(c, np.arange(3, 3 + len(c)), lambda n: (n + 1.0) ** -1.5),
+    ],
+    ids=["integrate_leg01", "mult_x_leg", "map_by_index"],
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_block_kernels_act_column_by_column(kernel, n):
+    """A 2-D block, one column per element, gives each column the bits of
+    the 1-D call, signed zeros included."""
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    block[:, 1] = 0.0
+    block[:, 2] = -0.0 + 0.5j
+    out = kernel(block)
+    for j in range(5):
+        assert bitwise_equal(out[:, j], kernel(block[:, j].copy()))
 
 
 FRAME_PAIRS = [
