@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import CapabilityError
-from .elements import CoordinateBlock, Func, Seq, inner_matrix, stack
+from .elements import CoordinateBlock, Func, Seq, element, inner_matrix, stack
 from .operators import BoundedOperator
 
 #: Relative tolerance below which a new Arnoldi direction counts as zero.
@@ -96,9 +96,7 @@ class OrthonormalBasis:
         lo, at = self.coordinates(len(coeffs))
         values = np.zeros(len(at), dtype=complex)
         values[at] = coeffs
-        if self.space[0] == "func":
-            return Func(self.space[1], values, {})
-        return Seq(self.space[1], lo, values)
+        return element(self.space, lo, values)
 
 
 def canonical_basis(domain: str = "nat") -> OrthonormalBasis:
@@ -224,7 +222,7 @@ class KrylovBasis(OrthonormalBasis):
             raise ValueError("Krylov construction requires a nonzero seed")
         lo, v = _window(op, g)
         v = (1.0 / gnorm) * v
-        vectors = [_element(g, lo, v)]
+        vectors = [element(g.space, lo, v)]
         # the generator holds the list, not the basis: no reference cycle
         # keeps a dropped basis and its H alive until a garbage collection
         super().__init__(
@@ -307,7 +305,7 @@ class KrylovBasis(OrthonormalBasis):
             return False
         v = (1.0 / hn) * w
         windows.append((lo, hi, v, *_span(lo, v)))
-        vectors.append(_element(image, lo, v))
+        vectors.append(element(image.space, lo, v))
         return k + 2 < self.size
 
 
@@ -344,13 +342,6 @@ def _span(lo, values):
     if not len(nonzero):
         return lo, lo
     return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
-
-
-def _element(like, lo, values):
-    """The element of `like`'s space with these coefficients."""
-    if isinstance(like, Seq):
-        return Seq(like.domain, lo, values)
-    return Func(like.interval, values, {})
 
 
 def krylov_basis(op: BoundedOperator, g, N: int) -> KrylovBasis:

@@ -281,6 +281,10 @@ class Func:
     def __post_init__(self):
         self.leg = np.asarray(self.leg, dtype=complex)
 
+    @property
+    def space(self) -> tuple:
+        return ("func", self.interval)
+
     def _check(self, other: "Func"):
         if self.interval != other.interval:
             raise SpaceMismatchError(
@@ -394,6 +398,10 @@ class Seq:
         if self.domain == "nat" and self.origin < 1:
             raise ValueError("nat-indexed sequences start at index >= 1")
 
+    @property
+    def space(self) -> tuple:
+        return ("seq", self.domain)
+
     @staticmethod
     def zero(domain="nat") -> "Seq":
         return Seq(domain, 1 if domain == "nat" else 0, np.zeros(0, dtype=complex))
@@ -413,10 +421,6 @@ class Seq:
         if 0 <= k < len(self.values):
             return complex(self.values[k])
         return 0.0
-
-    def support(self):
-        """Index range (lo, hi) inclusive of the stored window."""
-        return self.origin, self.origin + len(self.values) - 1
 
     def __add__(self, other: "Seq") -> "Seq":
         self._check(other)
@@ -485,6 +489,15 @@ def inner(u, v) -> complex:
     return u.inner(v)
 
 
+def element(space, origin, coeffs, osc=None):
+    """The element of `space` with these coefficients: a sequence's
+    window from index `origin`, or a function's Legendre coefficients,
+    which start at degree 0 (`origin` is 0), and its atoms {(m, w): c}."""
+    if space[0] == "seq":
+        return Seq(space[1], origin, coeffs)
+    return Func(space[1], coeffs, {} if osc is None else osc)
+
+
 def lincomb(coeffs, elements):
     """Sum of coeff * element over a nonempty list.
 
@@ -495,15 +508,15 @@ def lincomb(coeffs, elements):
     (block,) = stack(elements)
     coeffs = np.asarray(coeffs)[:, None]
     total = _row_sum(coeffs * block.coords)
-    if block.space[0] == "seq":
-        if not len(block.index):
-            return Seq(block.space[1], elements[0].origin, total)
-        lo = int(block.index[0])
-        values = np.zeros(int(block.index[-1]) - lo + 1, dtype=complex)
-        values[block.index - lo] = total
-        return Seq(block.space[1], lo, values)
-    osc = _row_sum(coeffs * block.osc)
-    return Func(block.space[1], total, dict(zip(block.atoms, osc)))
+    if block.space[0] == "func":
+        osc = _row_sum(coeffs * block.osc)
+        return element(block.space, 0, total, dict(zip(block.atoms, osc)))
+    if not len(block.index):
+        return element(block.space, elements[0].origin, total)
+    lo = int(block.index[0])
+    values = np.zeros(int(block.index[-1]) - lo + 1, dtype=complex)
+    values[block.index - lo] = total
+    return element(block.space, lo, values)
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
@@ -557,15 +570,12 @@ def stack(*lists) -> list:
     stores a value, so that elements far apart add no columns for the
     gap between them.  Each block lists the atoms of its own elements.
     """
-    first = lists[0][0]
+    space = lists[0][0].space
     for e in (e for lst in lists for e in lst):
-        if type(e) is not type(first):
-            raise SpaceMismatchError(
-                f"cannot pair {type(first).__name__} with {type(e).__name__}"
-            )
-        first._check(e)
+        if e.space != space:
+            raise SpaceMismatchError(f"cannot pair elements of {space} with elements of {e.space}")
     blocks = []
-    if isinstance(first, Seq):
+    if space[0] == "seq":
         filled = [e for lst in lists for e in lst if len(e.values)]
         index = _stored_indices(filled)
         # a stored window is contiguous in the sorted index
@@ -576,7 +586,7 @@ def stack(*lists) -> list:
                 if len(e.values):
                     start = next(starts)
                     coords[i, start : start + len(e.values)] = e.values
-            blocks.append(CoordinateBlock(("seq", first.domain), coords, index=index))
+            blocks.append(CoordinateBlock(space, coords, index=index))
         return blocks
     degrees = max(len(e.leg) for lst in lists for e in lst)
     for lst in lists:
@@ -588,7 +598,7 @@ def stack(*lists) -> list:
             coords[i, : len(e.leg)] = e.leg
             for key, c in e.osc.items():
                 osc[i, slot[key]] = c
-        blocks.append(CoordinateBlock(("func", first.interval), coords, osc, tuple(atoms)))
+        blocks.append(CoordinateBlock(space, coords, osc, tuple(atoms)))
     return blocks
 
 

@@ -124,21 +124,11 @@ class BoundedOperator:
         self.positive = positive
         self.compact = compact
 
-    def _check_space(self, f):
-        if self.space[0] == "seq":
-            if not isinstance(f, Seq) or f.domain != self.space[1]:
-                raise SpaceMismatchError(
-                    f"{self.label} acts on sequences over {self.space[1]!r}"
-                )
-        else:
-            if not isinstance(f, Func) or f.interval != self.space[1]:
-                raise SpaceMismatchError(
-                    f"{self.label} acts on functions on {self.space[1]}"
-                )
-
-    def _check_block(self, block: CoordinateBlock):
-        if block.space != self.space:
-            raise SpaceMismatchError(f"{self.label} acts on {self.space}, not {block.space}")
+    def _check(self, x):
+        """Refuse an element or a coordinate block of another space."""
+        space = getattr(x, "space", None)
+        if space != self.space:
+            raise SpaceMismatchError(f"{self.label} acts on {self.space}, not {space}")
 
     def apply(self, f):
         raise NotImplementedError
@@ -156,12 +146,19 @@ class BoundedOperator:
         raise CapabilityError(f"{self.label} has no exact SVD")
 
 
-def _validate_weight_law(law: SequenceLaw, start: int):
+def _probe(law: SequenceLaw, start: int, role: str = "law") -> np.ndarray:
+    """The law's values on the _LAW_CHECK_WINDOW indices from `start`;
+    ValueError unless all are finite, and no numpy warning on the way."""
     n = np.arange(start, start + _LAW_CHECK_WINDOW)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        vals = np.asarray(law(n), dtype=float)
+        vals = np.asarray(law(n))
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"weight law {law.name} is not finite from index {start}")
+        raise ValueError(f"{role} {law.name} is not finite from index {start}")
+    return vals
+
+
+def _validate_weight_law(law: SequenceLaw, start: int):
+    vals = np.asarray(_probe(law, start, "weight law"), dtype=float)
     if not np.all(vals >= 0) or vals[0] <= 0:
         raise ValueError(f"weight law {law.name} must be positive")
     # fast laws may underflow to exact zero inside the window; check the
@@ -174,16 +171,45 @@ def _validate_weight_law(law: SequenceLaw, start: int):
         raise ValueError(f"weight law {law.name} must be strictly decreasing")
 
 
-class MultiplicationSeq(BoundedOperator):
+class _WeightedShift(BoundedOperator):
+    """The sequence map e_n -> weight(n) e_{n+step}: multiplication by a
+    law at step 0, the (weighted) right shifts at step 1.  `weight` is a
+    law, or None for weight 1.  Elements and coordinate blocks both map
+    and shift, so `apply` also serves as `apply_block`; the adjoint
+    shifts back, then multiplies by conj(weight)."""
+
+    weight = None
+    step = 0
+
+    def apply(self, f):
+        self._check(f)
+        if self.weight is not None:
+            f = f.mapped(self.weight)
+        return f.shifted(self.step) if self.step else f
+
+    apply_block = apply
+
+    def adjoint_apply(self, f):
+        self._check(f)
+        if self.step:
+            f = f.shifted(-self.step)
+        if self.weight is None:
+            return f
+        return f.mapped(lambda n: np.conj(self.weight(n)))
+
+
+class MultiplicationSeq(_WeightedShift):
     """Multiplication by a bounded sequence law on l2(N)."""
 
     kind = "multiplication_seq"
 
     def __init__(self, law: SequenceLaw):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            probe = np.asarray(law(np.arange(1, _LAW_CHECK_WINDOW + 1)))
-        if not np.all(np.isfinite(probe)):
-            raise ValueError(f"law {law.name} is not finite on the indices >= 1")
+        probe = _probe(law, 1)
+        # c n^(-p) and c (n+1)^(-p) grow for p < 0, c q^n for |q| > 1
+        c, rate = (law.params + (0.0, 0.0))[:2]
+        grows = rate < 0 if law.kind in ("pow", "pow1") else law.kind == "geom" and abs(rate) > 1
+        if c != 0 and grows:
+            raise ValueError(f"law {law.name} is unbounded")
         is_real = bool(np.all(np.isreal(probe)))
         peak = float(np.max(np.abs(probe)))
         super().__init__(
@@ -196,46 +222,24 @@ class MultiplicationSeq(BoundedOperator):
             # heuristic: the law has visibly decayed on the window
             compact=bool(abs(probe[-1]) < 0.01 * peak),
         )
-        self.law = law
-
-    def apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.mapped(self.law)
-
-    def apply_block(self, block):
-        self._check_block(block)
-        return block.mapped(self.law)
-
-    def adjoint_apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.mapped(lambda n: np.conj(self.law(n)))
+        self.law = self.weight = law
 
 
-class RightShift(BoundedOperator):
+class RightShift(_WeightedShift):
     """The isometry e_n -> e_{n+1} on l2(N); adjoint is the left shift."""
 
     kind = "right_shift"
+    step = 1
 
     def __init__(self):
         super().__init__(label="right-shift", space=("seq", "nat"), op_norm=1.0)
 
-    def apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.shifted(+1)
 
-    def apply_block(self, block):
-        self._check_block(block)
-        return block.shifted(+1)
-
-    def adjoint_apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.shifted(-1)
-
-
-class WeightedRightShift(BoundedOperator):
+class WeightedRightShift(_WeightedShift):
     """Compact weighted right shift e_n -> sigma_n e_{n+1} on l2(N)."""
 
     kind = "weighted_right_shift"
+    step = 1
 
     def __init__(self, law: SequenceLaw):
         _validate_weight_law(law, start=1)
@@ -245,20 +249,7 @@ class WeightedRightShift(BoundedOperator):
             op_norm=float(law(np.array(1))),
             compact=True,
         )
-        self.law = law
-
-    def apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.mapped(self.law).shifted(+1)
-
-    def apply_block(self, block):
-        self._check_block(block)
-        return block.mapped(self.law).shifted(+1)
-
-    def adjoint_apply(self, f: Seq) -> Seq:
-        # adjoint maps e_{n+1} -> sigma_n e_n
-        self._check_space(f)
-        return f.shifted(-1).mapped(self.law)
+        self.law = self.weight = law
 
     def exact_svd(self) -> SvdTriple:
         return SvdTriple(
@@ -268,7 +259,7 @@ class WeightedRightShift(BoundedOperator):
         )
 
 
-class WeightedRightShiftZ(BoundedOperator):
+class WeightedRightShiftZ(_WeightedShift):
     """Compact weighted right shift e_n -> sigma_|n| e_{n+1} on l2(Z).
 
     The weight law is indexed from 0.  Singular values occur in pairs
@@ -277,6 +268,7 @@ class WeightedRightShiftZ(BoundedOperator):
     """
 
     kind = "weighted_right_shift_Z"
+    step = 1
 
     def __init__(self, law: SequenceLaw):
         _validate_weight_law(law, start=0)
@@ -287,21 +279,7 @@ class WeightedRightShiftZ(BoundedOperator):
             compact=True,
         )
         self.law = law
-
-    def _abs_law(self, n):
-        return self.law(np.abs(np.asarray(n)))
-
-    def apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.mapped(self._abs_law).shifted(+1)
-
-    def apply_block(self, block):
-        self._check_block(block)
-        return block.mapped(self._abs_law).shifted(+1)
-
-    def adjoint_apply(self, f: Seq) -> Seq:
-        self._check_space(f)
-        return f.shifted(-1).mapped(self._abs_law)
+        self.weight = lambda n: law(np.abs(n))
 
 
 class Volterra(BoundedOperator):
@@ -318,7 +296,7 @@ class Volterra(BoundedOperator):
         )
 
     def apply(self, f: Func) -> Func:
-        self._check_space(f)
+        self._check(f)
         leg = integrate_leg01(f.leg)
         osc, const = _integrate_atoms(f.osc.items())
         if const != 0:
@@ -326,7 +304,7 @@ class Volterra(BoundedOperator):
         return Func(f.interval, leg, osc)
 
     def apply_block(self, block):
-        self._check_block(block)
+        self._check(block)
         leg = integrate_leg01(block.coords.T)
         osc, const = _integrate_atoms(zip(block.atoms, block.osc.T))
         leg[0] += const
@@ -338,7 +316,7 @@ class Volterra(BoundedOperator):
 
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
-        self._check_space(f)
+        self._check(f)
         total = Func.from_leg(f.interval, [1.0]).inner(f)
         return Func.from_leg(f.interval, [total]) - self.apply(f)
 
@@ -379,13 +357,13 @@ class MultiplicationX(BoundedOperator):
         )
 
     def apply(self, f: Func) -> Func:
-        self._check_space(f)
+        self._check(f)
         leg = mult_x_leg(f.interval, f.leg)
         osc = {(m + 1, w): c for (m, w), c in f.osc.items()}
         return Func(f.interval, leg, osc)
 
     def apply_block(self, block):
-        self._check_block(block)
+        self._check(block)
         leg = mult_x_leg(self.space[1], block.coords.T)
         atoms = tuple((m + 1, w) for m, w in block.atoms)
         return CoordinateBlock(self.space, leg.T, block.osc, atoms)
@@ -443,7 +421,7 @@ def volterra_power_apply(n: int, f: Func) -> Func:
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     op = Volterra()
-    op._check_space(f)
+    op._check(f)
     mult = MultiplicationX((0.0, 1.0))
     acc = Func.zero(f.interval)
     # y^k f, integrated, then times x^{n-1-k}

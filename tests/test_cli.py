@@ -305,7 +305,7 @@ class TestConfigValueErrors:
         [
             ("weighted-right-shift:geom:1,2", "weight law geom:1,2 is not finite from index 1"),
             ("weighted-right-shift:geom:0,inf", "weight law geom:0,inf is not finite from index 1"),
-            ("mult-seq:geom:1,2", "law geom:1,2 is not finite on the indices >= 1"),
+            ("mult-seq:geom:1,2", "law geom:1,2 is not finite from index 1"),
         ],
     )
     def test_non_finite_law_exits_two_without_a_warning(self, tmp_path, operator, message):
@@ -321,6 +321,37 @@ class TestConfigValueErrors:
         proc = _fresh_python("-m", "hilbtrunc.cli", "run", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"config error: bad operator spec '{operator}': {message}"]
+
+    @pytest.mark.parametrize(
+        "law", ["pow:1,-1", "pow1:2,-0.5", "geom:1,1.001"]
+    )
+    def test_unbounded_multiplication_law_exits_two(self, tmp_path, law):
+        """A closed-form law that grows is no bounded operator: its values
+        stay finite on the probe window, so only the law's kind and
+        parameters can tell."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[problem]\noperator = mult-seq:{law}\ndatum = basis-e:1\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 2\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        proc = _fresh_python("-m", "hilbtrunc.cli", "run", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"config error: bad operator spec 'mult-seq:{law}': law {law} is unbounded"
+        ]
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("law", ["pow:1,0", "geom:1,1"])
+    def test_bounded_multiplication_law_at_the_edge_runs(self, tmp_path, law):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[problem]\noperator = mult-seq:{law}\ndatum = basis-e:1\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 2\n"
+            "[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", ["datum", "exact_solution"])
     def test_basis_vector_below_one_exit_two(self, tmp_path, key):

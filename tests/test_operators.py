@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hilbtrunc.core import CapabilityError, SpaceMismatchError
-from hilbtrunc.elements import Func, Seq, inner
+from hilbtrunc.elements import Func, Seq, inner, stack
 from hilbtrunc.operators import (
     MultiplicationSeq,
     MultiplicationX,
     RightShift,
+    SequenceLaw,
     Volterra,
     WeightedRightShift,
     WeightedRightShiftZ,
@@ -294,3 +295,128 @@ class TestNormReporting:
 
     def test_volterra_norm_value(self):
         assert abs(Volterra().op_norm - 2.0 / math.pi) < 1e-15
+
+
+CLI_OPERATORS = [
+    "volterra", "mult-x:1,2", "right-shift", "weighted-right-shift:pow:1,1",
+    "weighted-right-shift-z:geom:1,0.5", "mult-seq:pow:1,1",
+]
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=complex).tobytes()
+
+
+def _block_elements(op, rng):
+    """Elements of op's space for a block: with atoms (several per
+    frequency) for functions; for sequences, windows far apart, with
+    exact zeros of both signs, nat windows from index 1 and int windows
+    from negative origins.  Each function lists its atoms in (m, w)
+    order, the order in which a block sums them; with three or more
+    atoms of one frequency listed out of that order, Volterra's `apply`
+    and `apply_block` differ at roundoff (see CHANGES.md)."""
+    if op.space[0] == "func":
+        a, b = op.space[1]
+        w = 2 * math.pi / (b - a)
+        return [
+            random_func(rng, op.space[1], deg=3, modes=(1,)),
+            random_func(rng, op.space[1], deg=7, modes=(-2, 3)),
+            Func(op.space[1], [0.0, -0.0, 1.5], {(0, w): 0.5 - 1j, (1, w): -2.0, (2, -w): 1j}),
+            Func.from_leg(op.space[1], [1.0, -0.0, 0.0, 2.0 - 1j]),
+        ]
+    domain = op.space[1]
+    lo = 1 if domain == "nat" else -7
+    signed = Seq(domain, lo + 2, [-0.0, 1.0 - 2j, 0.0, complex(-0.0, -0.0), 3.0])
+    return [
+        random_seq(rng, domain, width=5),
+        Seq(domain, lo, rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+        signed,
+        Seq(domain, lo + 30, rng.standard_normal(3)),
+        Seq.basis_vector(lo + 1, domain),
+    ]
+
+
+@pytest.mark.parametrize("opname", CLI_OPERATORS)
+def test_apply_block_rows_equal_apply(opname):
+    """Row i of the block image is apply(e_i) bit for bit, signed zeros
+    included; the block's other columns hold zeros."""
+    op = parse_operator(opname)
+    elems = _block_elements(op, np.random.default_rng(sum(map(ord, opname))))
+    (block,) = stack(elems)
+    out = op.apply_block(block)
+    assert out.space == op.space
+    for i, e in enumerate(elems):
+        image = op.apply(e)
+        row = out.coords[i]
+        if op.space[0] == "seq":
+            pos = np.searchsorted(out.index, np.arange(image.origin, image.origin + len(image.values)))
+            assert np.array_equal(out.index[pos], np.arange(image.origin, image.origin + len(image.values)))
+            assert _bits(row[pos]) == _bits(image.values)
+            assert not np.any(np.delete(row, pos))
+        else:
+            n = len(image.leg)
+            assert _bits(row[:n]) == _bits(image.leg)
+            assert not np.any(row[n:])
+            slot = {key: j for j, key in enumerate(out.atoms)}
+            for key, c in image.osc.items():
+                assert _bits(out.osc[i, slot[key]]) == _bits(c), key
+            others = [j for key, j in slot.items() if key not in image.osc]
+            assert not np.any(out.osc[i, others])
+
+
+def _foreign(op):
+    """Elements of spaces other than op's."""
+    if op.space[0] == "func":
+        return [Func.from_leg((-3.0, 5.0), [1.0, 2.0]), Seq.basis_vector(1, "nat"),
+                Seq.basis_vector(0, "int")]
+    other = "int" if op.space[1] == "nat" else "nat"
+    return [Seq.basis_vector(1, other), Func.from_leg((0.0, 1.0), [1.0])]
+
+
+@pytest.mark.parametrize("opname", CLI_OPERATORS)
+def test_foreign_space_rejected(opname):
+    op = parse_operator(opname)
+    for e in _foreign(op):
+        (block,) = stack([e])
+        for x in (e, block):
+            with pytest.raises(SpaceMismatchError):
+                op.apply(x)
+            with pytest.raises(SpaceMismatchError):
+                op.adjoint_apply(x)
+        with pytest.raises(SpaceMismatchError):
+            op.apply_block(block)
+
+
+def _seq_cases(domain, rng):
+    lo = 1 if domain == "nat" else -6
+    return [
+        Seq(domain, lo, rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+        Seq(domain, lo + 4, [-0.0, 2.0 - 1j, 0.0, complex(-0.0, 0.0)]),
+        Seq.basis_vector(lo, domain),
+        Seq.zero(domain),
+    ]
+
+
+@pytest.mark.parametrize(
+    "op,reference",
+    [
+        (MultiplicationSeq(power_law(2.0, 0.5)),
+         lambda f: f.mapped(lambda n: np.conj(power_law(2.0, 0.5)(n)))),
+        (MultiplicationSeq(SequenceLaw("complex", lambda n: (1 + 2j) / n)),
+         lambda f: f.mapped(lambda n: np.conj((1 + 2j) / n))),
+        (RightShift(), lambda f: f.shifted(-1)),
+        (WeightedRightShift(power_law(1.0, 1.0)),
+         lambda f: f.shifted(-1).mapped(power_law(1.0, 1.0))),
+        (WeightedRightShiftZ(geometric_law(1.0, 0.5)),
+         lambda f: f.shifted(-1).mapped(lambda n: geometric_law(1.0, 0.5)(np.abs(n)))),
+    ],
+    ids=["mult-seq", "mult-seq-complex", "right-shift", "weighted-right-shift",
+         "weighted-right-shift-z"],
+)
+def test_sequence_adjoints_equal_their_compositions(op, reference):
+    """The adjoint shifts back, then multiplies by the conjugate weight:
+    bit for bit the composition written out per operator."""
+    for f in _seq_cases(op.space[1], np.random.default_rng(5)):
+        got, want = op.adjoint_apply(f), reference(f)
+        assert (got.domain, got.origin) == (want.domain, want.origin)
+        assert _bits(got.values) == _bits(want.values)
