@@ -18,7 +18,8 @@ from .core import CapabilityError
 from .elements import CoordinateBlock, Func, Seq, element, inner_matrix, stack
 from .operators import BoundedOperator
 
-#: Relative tolerance below which a new Arnoldi direction counts as zero.
+#: Relative tolerance below which a new Arnoldi direction, or what is left of
+#: a new adversarial constraint, counts as zero.
 BREAKDOWN_RTOL = 1e-12
 
 
@@ -391,9 +392,13 @@ def adversarial_test_basis(
 
     Inductively picks v_N of unit norm orthogonal to A u_1, ..., A u_N
     and to v_1, ..., v_{N-1}, so row N of each compression vanishes.
-    The construction runs on the first 4 n_max elements of an ambient
-    orthonormal frame, more than the 2 n_max - 1 constraints; a null
-    vector of the stacked constraint matrix is extracted via complete QR.
+    It works on the first 4 n_max elements of an ambient orthonormal
+    frame, where orthonormal rows Q span the constraints so far: A u_N
+    joins Q after two classical Gram-Schmidt passes, unless it lies in
+    their span, and then v_N joins it from the frame vector of least
+    leverage (column norm of Q).  With at most 2N - 1 rows in 4 n_max
+    columns that is below 1/2.  Where it is 0, as past a banded
+    operator's images, v_N is that frame vector and row N exact zeros.
     The images come from one block application, their frame
     coordinates from the frame's block, and v_N is placed at the frame's
     coordinates: no frame element is built.
@@ -401,27 +406,31 @@ def adversarial_test_basis(
     frame = _working_family(op)
     # coordinates of A u_j in the working frame
     images = op.apply_block(trial.block(n_max))
-    image_coords = inner_matrix(frame.block(4 * n_max, sparse=True), images).T
-    test_coords = []
-    for N in range(1, n_max + 1):
-        rows = [image_coords[j] for j in range(N)] + test_coords
-        constraints = np.conj(np.array(rows))
-        q, _ = np.linalg.qr(constraints.conj().T, mode="complete")
-        candidates = q[:, len(rows):]
-        residuals = np.linalg.norm(constraints @ candidates, axis=0)
-        v = candidates[:, int(np.argmin(residuals))]
-        # canonical phase: largest-modulus coordinate made real positive
-        pivot = v[int(np.argmax(np.abs(v)))]
-        v = v * (np.conj(pivot) / abs(pivot))
-        v = v / np.linalg.norm(v)
-        test_coords.append(v)
+    width = 4 * n_max
+    image_coords = inner_matrix(frame.block(width, sparse=True), images).T
+    Q = np.zeros((2 * n_max, width), dtype=complex)
+    leverage = np.zeros(width)  # squared column norms of Q[:rows]
+    rows, picked = 0, []
 
-    def gen(n):
-        return frame.place(test_coords[n - 1])
+    def join(c):
+        nonlocal rows
+        r = c
+        for _ in range(2):  # "twice is enough"
+            r = r - np.conj(Q[:rows] @ np.conj(r)) @ Q[:rows]
+        norm = np.linalg.norm(r)
+        if norm > BREAKDOWN_RTOL * np.linalg.norm(c):
+            Q[rows] = r / norm
+            leverage[:] += np.abs(Q[rows]) ** 2
+            rows += 1
 
+    for image in image_coords:
+        join(image)
+        picked.append(rows)
+        join(np.eye(1, width, int(np.argmin(leverage)), dtype=complex)[0])
+    test_coords = Q[picked]  # a copy: no row keeps Q alive
     return OrthonormalBasis(
         label=f"adversarial[{op.label};{trial.label}]",
         space=op.space,
-        generator=gen,
+        generator=lambda n: frame.place(test_coords[n - 1]),
         size=n_max,
     )

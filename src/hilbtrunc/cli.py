@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -373,17 +372,12 @@ def _write_deterministic(path: Path, text: str):
 
 
 def _gnuplot_script(csv_name: str, columns) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set logscale y",
-        "set xlabel 'N'",
-        "set key outside",
-    ]
-    plots = []
-    for i, col in enumerate(columns[1:], start=2):
-        plots.append(f"'{csv_name}' using 1:{i} with linespoints title '{col}'")
-    lines.append("plot " + ", \\\n     ".join(plots))
-    return "\n".join(lines) + "\n"
+    plots = ", \\\n     ".join(
+        f"'{csv_name}' using 1:{i} with linespoints title '{col}'"
+        for i, col in enumerate(columns[1:], start=2)
+    )
+    head = "set datafile separator ','\nset logscale y\nset xlabel 'N'\nset key outside\n"
+    return head + "plot " + plots + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +385,7 @@ def _gnuplot_script(csv_name: str, columns) -> str:
 # ---------------------------------------------------------------------------
 
 def _truncation_records(cfg: ExperimentConfig):
-    """Run the configured truncation sweep; yields (N, record) pairs."""
+    """Run the configured truncation sweep; returns (meta, records)."""
     pc, tc = cfg.problem, cfg.truncation
     op = _build_operator(pc.operator)
     datum = parse_element(pc.datum, op)
@@ -446,36 +440,37 @@ def _truncation_records(cfg: ExperimentConfig):
     return meta, records
 
 
-def _truncation_csv(cfg: ExperimentConfig) -> str:
+def _csv_text(meta: dict, columns, rows) -> str:
+    """The CSV: `# key = value` lines, the columns, then the rows of cells."""
+    lines = [f"# {key} = {value}" for key, value in meta.items()]
+    lines += [f"# columns = {','.join(columns)}", ",".join(columns)]
+    lines += [",".join(cells) for cells in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _truncation_csv(cfg: ExperimentConfig):
+    """(meta, columns, rows) of a truncation sweep's CSV."""
     meta, records = _truncation_records(cfg)
     tracked = cfg.output.tracked
+    meta["tracked"] = ",".join(str(n) for n in tracked)
     columns = ["N", "err_norm", "res_norm", "sol_norm", "eps_norm"]
     for n in tracked:
         columns += [f"err_c_{n}", f"res_c_{n}"]
-    buf = io.StringIO()
-    for key, value in meta.items():
-        buf.write(f"# {key} = {value}\n")
-    buf.write(f"# tracked = {','.join(str(n) for n in tracked)}\n")
-    buf.write(f"# columns = {','.join(columns)}\n")
-    buf.write(",".join(columns) + "\n")
+    rows = []
     for rec in records:
-        cells = [
-            str(rec.N),
-            _fmt(rec.err_norm),
-            _fmt(rec.res_norm),
-            _fmt(rec.sol_norm),
-            _fmt(rec.eps_norm),
-        ]
+        cells = [str(rec.N)]
+        cells += map(_fmt, (rec.err_norm, rec.res_norm, rec.sol_norm, rec.eps_norm))
         comps = {n: (e, r) for n, e, r in rec.tracked_components}
         for n in tracked:
             e, r = comps.get(n, (None, None))
             cells.append(_fmt(abs(e)) if e is not None else "")
             cells.append(_fmt(abs(r)) if r is not None else "")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        rows.append(cells)
+    return meta, columns, rows
 
 
-def _noise_csv(cfg: ExperimentConfig) -> str:
+def _noise_csv(cfg: ExperimentConfig):
+    """(meta, columns, rows) of a noise series' CSV."""
     nc = cfg.noise
     model = NoiseModel(
         sigma_law=_build_law(nc.sigma_law),
@@ -486,21 +481,17 @@ def _noise_csv(cfg: ExperimentConfig) -> str:
         series = noise_series(model, nc.n_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    buf = io.StringIO()
-    buf.write(f"# sigma_law = {nc.sigma_law}\n")
-    buf.write(f"# g_law = {nc.g_law}\n")
-    buf.write(f"# nu_law = {nc.nu_law}\n")
-    buf.write(f"# noise_norm_sq = {_fmt(series.noise_norm_sq)}\n")
-    buf.write(f"# solvable = {'yes' if series.solvable else 'no'}\n")
-    buf.write(f"# err_sq_minimizer = {series.n_min}\n")
+    meta = dict(
+        sigma_law=nc.sigma_law, g_law=nc.g_law, nu_law=nc.nu_law,
+        noise_norm_sq=_fmt(series.noise_norm_sq),
+        solvable="yes" if series.solvable else "no",
+        err_sq_minimizer=series.n_min,
+    )
     columns = ["N", "alpha", "beta", "res_sq", "err_sq"]
-    buf.write(f"# columns = {','.join(columns)}\n")
-    buf.write(",".join(columns) + "\n")
     # the columns as Python numbers: repr is _fmt without a numpy scalar per cell
     values = (series.N, series.alpha, series.beta, series.res_sq, series.err_sq)
-    for N, *cells in zip(*(v.tolist() for v in values)):
-        buf.write(f"{N},{','.join(map(repr, cells))}\n")
-    return buf.getvalue()
+    rows = (map(repr, cells) for cells in zip(*(v.tolist() for v in values)))
+    return meta, columns, rows
 
 
 def run(config: ExperimentConfig, out: Optional[str] = None) -> Path:
@@ -509,16 +500,13 @@ def run(config: ExperimentConfig, out: Optional[str] = None) -> Path:
     Returns the CSV path.  Raises ConfigError for malformed configs and
     CapabilityError for operator/basis/solver mismatches.
     """
-    text = _noise_csv(config) if config.noise is not None else _truncation_csv(config)
+    build = _noise_csv if config.noise is not None else _truncation_csv
+    meta, columns, rows = build(config)
     path = Path(out if out is not None else config.output.csv)
-    _write_deterministic(path, text)
+    _write_deterministic(path, _csv_text(meta, columns, rows))
     if config.output.gnuplot:
-        header = [
-            line for line in text.splitlines() if line.startswith("# columns = ")
-        ][0]
-        cols = header.removeprefix("# columns = ").split(",")
         _write_deterministic(
-            path.with_suffix(path.suffix + ".gp"), _gnuplot_script(path.name, cols[:5])
+            path.with_suffix(path.suffix + ".gp"), _gnuplot_script(path.name, columns[:5])
         )
     return path
 

@@ -298,7 +298,8 @@ class Volterra(BoundedOperator):
     def apply(self, f: Func) -> Func:
         self._check(f)
         leg = integrate_leg01(f.leg)
-        osc, const = _integrate_atoms(f.osc.items())
+        # in the block's sorted (m, w) order, so apply_block's bits match
+        osc, const = _integrate_atoms(sorted(f.osc.items()))
         if const != 0:
             leg[0] += const  # the constant function is the degree-0 element
         return Func(f.interval, leg, osc)

@@ -3,12 +3,14 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hilbtrunc.core import CapabilityError, gauss_legendre, singular_values
-from hilbtrunc.elements import Func, Seq, inner
+from hilbtrunc.cli import make_basis, parse_element
+from hilbtrunc.elements import CoordinateBlock, Func, Seq, inner, inner_matrix
 from hilbtrunc.operators import (
     MultiplicationSeq,
     MultiplicationX,
@@ -32,6 +34,7 @@ from hilbtrunc.bases import (
     legendre_basis,
     svd_bases,
 )
+from hilbtrunc.truncation import compress
 
 
 def gram(basis, n):
@@ -486,6 +489,28 @@ class TestAdversarialBasis:
         test = adversarial_test_basis(op, trial, 8)
         np.testing.assert_allclose(gram(test, 8), np.eye(8), atol=1e-10)
 
+    def test_dense_nearly_dependent_images(self):
+        """Images dense in all 4 n_max frame coordinates, with singular
+        values from 1 down to 1e-8: a single Gram-Schmidt pass leaves the
+        family 3e-3 from orthonormal here; the second restores it."""
+        n = 40
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((4 * n, n)) + 1j * rng.standard_normal((4 * n, n)))
+        images = (U * np.logspace(0, -8, n)) @ V.conj().T
+        space = ("func", (0.0, 1.0))
+        op = SimpleNamespace(
+            label="dense",
+            space=space,
+            apply_block=lambda block: CoordinateBlock(space, images, np.zeros((n, 0))),
+        )
+        test = adversarial_test_basis(op, legendre_basis((0.0, 1.0)), n)
+        coords = test.block(n).coords
+        A = coords.conj() @ images.T
+        for N in range(1, n + 1):
+            assert np.max(np.abs(A[N - 1, :N])) <= 1e-12 * np.max(np.abs(A))
+        assert np.max(np.abs(coords.conj() @ coords.T - np.eye(n))) <= 1e-13
+
     @pytest.mark.parametrize(
         "op,trial",
         [
@@ -504,6 +529,54 @@ class TestAdversarialBasis:
             assert isinstance(v, Func) or v.origin == 1
             assert len(coords) == 4 * n_max
             assert abs(np.linalg.norm(coords) - 1.0) < 1e-12
+
+
+#: Every operator kind the CLI parses, with the frame its trial is taken from.
+FRAME_OPERATORS = [
+    ("volterra", "legendre"),
+    ("mult-x:1,2", "legendre"),
+    ("right-shift", "canonical"),
+    ("weighted-right-shift:pow:1,1", "canonical"),
+    ("weighted-right-shift-z:pow1:1,1", "canonical"),
+    ("mult-seq:pow:1,1", "canonical"),
+]
+
+
+def adversarial_at(operator, trial_name, n_max):
+    """(A, V^H V) of the adversarial family against a CLI trial: A is the
+    compression at n_max, whose leading N x N block is A_N."""
+    op = parse_operator(operator)
+    datum = parse_element("poly:0.3,1,0.5" if op.space[0] == "func" else "basis-e:1", op)
+    trial = make_basis(trial_name, op, datum, n_max)
+    test = make_basis("adversarial", op, datum, n_max, trial=trial)
+    block = test.block(n_max)
+    return compress(op, trial, test, n_max, datum).A_N, inner_matrix(block, block)
+
+
+class TestAdversarialContractAtScale:
+    """Row N of A_N vanishes and the family is orthonormal, at N = 200."""
+
+    @pytest.mark.parametrize("operator,trial", FRAME_OPERATORS, ids=[o for o, _ in FRAME_OPERATORS])
+    def test_frame_trial_rows_are_exact_zeros(self, operator, trial):
+        """On a banded operator's frame the least-leverage frame vector
+        lies past the images: every v_N is a frame vector, so the lower
+        triangle of A, row N of each A_N included, is exact zeros."""
+        A, gram = adversarial_at(operator, trial, 200)
+        assert not np.any(np.tril(A)) and np.any(A)
+        assert np.array_equal(gram, np.eye(200))
+
+    @pytest.mark.parametrize("trial", ["fourier", "krylov"])
+    def test_dense_trial_rows_vanish_to_roundoff(self, trial):
+        A, gram = adversarial_at("volterra", trial, 200)
+        for N in range(1, 201):
+            assert np.max(np.abs(A[N - 1, :N])) <= 1e-12 * np.max(np.abs(A[:N, :N]))
+        assert np.max(np.abs(gram - np.eye(200))) <= 1e-13
+
+    def test_two_builds_are_bitwise_equal(self):
+        op = Volterra()
+        trial = fourier_basis(op.space[1])
+        first, second = (adversarial_test_basis(op, trial, 200).block(200) for _ in range(2))
+        assert np.array_equal(first.coords, second.coords)
 
 
 class TestCompletenessInPractice:

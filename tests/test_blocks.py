@@ -165,6 +165,23 @@ def test_block_kernels_act_column_by_column(kernel, n):
         assert bitwise_equal(out[:, j], kernel(block[:, j].copy()))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_volterra_apply_sums_atoms_as_apply_block(seed):
+    """Four atoms of one frequency listed in reverse (m, w) order: the
+    per-element image has the bits of its block row, which sums the
+    atoms in sorted order."""
+    rng = np.random.default_rng(seed)
+    w = float(rng.uniform(-20.0, 20.0))
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    leg = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    f = Func((0.0, 1.0), leg, {(m, w): c[m] for m in (3, 2, 1, 0)})
+    op = Volterra()
+    image, row = op.apply(f), op.apply_block(stack([f])[0])
+    assert bitwise_equal(image.leg, row.coords[0])
+    assert sorted(image.osc) == list(row.atoms)
+    assert bitwise_equal(np.array([image.osc[key] for key in row.atoms]), row.osc[0])
+
+
 FRAME_PAIRS = [
     ("volterra", lambda op: legendre_basis(op.space[1])),
     ("mult-x:0.6875,2", lambda op: legendre_basis(op.space[1])),
