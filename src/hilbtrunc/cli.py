@@ -137,15 +137,6 @@ def _read_value(where: str, key: str, raw: str):
         raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
 
 
-def _text(value) -> str:
-    """A key's value as config text, read back by `_read_value`."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return str(value)
-
-
 def _read_section(name: str, section):
     """A section's keys as the fields of its dataclass declare them."""
     declared = {f.name: f for f in fields(SECTIONS[name])}
@@ -173,20 +164,6 @@ class ExperimentConfig:
             raise ConfigError("config needs exactly one of [problem] and [noise]")
         if (self.problem is None) != (self.truncation is None):
             raise ConfigError("a [truncation] section goes with a [problem] section")
-
-    def to_text(self) -> str:
-        """Canonical config serialization (round-trips through from_text)."""
-        out = []
-        for name in SECTIONS:
-            section = getattr(self, name)
-            if section is None:
-                continue
-            out.append(f"[{name}]")
-            for f in fields(section):
-                value = getattr(section, f.name)
-                if value is not None:
-                    out.append(f"{f.name} = {_text(value)}")
-        return "\n".join(out) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
@@ -282,18 +259,12 @@ def list_presets() -> str:
 # element and basis construction
 # ---------------------------------------------------------------------------
 
-def _build_operator(text: str) -> BoundedOperator:
+def _parsed(kind: str, parse, text: str):
+    """`parse(text)`, with its ValueError as a ConfigError naming the spec."""
     try:
-        return parse_operator(text)
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"bad operator spec {text!r}: {exc}") from exc
-
-
-def _build_law(text: str):
-    try:
-        return parse_law(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad law spec {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {kind} spec {text!r}: {exc}") from exc
 
 
 def parse_element(text: str, op: BoundedOperator):
@@ -328,21 +299,22 @@ def parse_element(text: str, op: BoundedOperator):
     raise ConfigError(f"unknown datum spec {text!r}")
 
 
+# the frames: name -> (the space kind they live in, factory of its domain)
+FRAMES = {
+    "legendre": ("func", legendre_basis),
+    "fourier": ("func", fourier_basis),
+    "canonical": ("seq", canonical_basis),
+}
+
+
 def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
     """Resolve a basis selection string against an operator."""
-    seq_space = op.space[0] == "seq"
-    if name == "legendre":
-        if seq_space:
-            raise CapabilityError("legendre basis needs a function-space operator")
-        return legendre_basis(op.space[1])
-    if name == "fourier":
-        if seq_space:
-            raise CapabilityError("fourier basis needs a function-space operator")
-        return fourier_basis(op.space[1])
-    if name == "canonical":
-        if not seq_space:
-            raise CapabilityError("canonical basis needs a sequence-space operator")
-        return canonical_basis(op.space[1])
+    if name in FRAMES:
+        kind, factory = FRAMES[name]
+        if op.space[0] != kind:
+            space = "function" if kind == "func" else "sequence"
+            raise CapabilityError(f"{name} basis needs a {space}-space operator")
+        return factory(op.space[1])
     if name == "krylov":
         return krylov_basis(op, datum, n_max)
     if name == "svd":
@@ -384,15 +356,13 @@ def _gnuplot_script(csv_name: str, columns) -> str:
 # runners
 # ---------------------------------------------------------------------------
 
-def _truncation_records(cfg: ExperimentConfig):
-    """Run the configured truncation sweep; returns (meta, records)."""
-    pc, tc = cfg.problem, cfg.truncation
-    op = _build_operator(pc.operator)
+def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
+    """Run a truncation sweep; returns (meta, records)."""
+    op = _parsed("operator", parse_operator, pc.operator)
     datum = parse_element(pc.datum, op)
     f_exact = (
         parse_element(pc.exact_solution, op) if pc.exact_solution is not None else None
     )
-    tracked = cfg.output.tracked
     n_max = max(tc.n_list)
     records = []
     meta = {
@@ -450,8 +420,8 @@ def _csv_text(meta: dict, columns, rows) -> str:
 
 def _truncation_csv(cfg: ExperimentConfig):
     """(meta, columns, rows) of a truncation sweep's CSV."""
-    meta, records = _truncation_records(cfg)
     tracked = cfg.output.tracked
+    meta, records = _truncation_records(cfg.problem, cfg.truncation, tracked)
     meta["tracked"] = ",".join(str(n) for n in tracked)
     columns = ["N", "err_norm", "res_norm", "sol_norm", "eps_norm"]
     for n in tracked:
@@ -472,11 +442,8 @@ def _truncation_csv(cfg: ExperimentConfig):
 def _noise_csv(cfg: ExperimentConfig):
     """(meta, columns, rows) of a noise series' CSV."""
     nc = cfg.noise
-    model = NoiseModel(
-        sigma_law=_build_law(nc.sigma_law),
-        g_law=_build_law(nc.g_law),
-        nu_law=_build_law(nc.nu_law),
-    )
+    laws = (nc.sigma_law, nc.g_law, nc.nu_law)
+    model = NoiseModel(*(_parsed("law", parse_law, law) for law in laws))
     try:
         series = noise_series(model, nc.n_max)
     except ValueError as exc:
@@ -516,11 +483,11 @@ def run(config: ExperimentConfig, out: Optional[str] = None) -> Path:
 # ---------------------------------------------------------------------------
 
 def _demo_bad_truncation(lines):
-    op = _build_operator("volterra")
-    trial = legendre_basis(op.space[1])
+    op = parse_operator("volterra")
     n_max = 20
-    test = adversarial_test_basis(op, trial, n_max)
-    datum = Func.zero(op.space[1])
+    datum = parse_element("zero", op)
+    trial = make_basis("legendre", op, datum, n_max)
+    test = make_basis("adversarial", op, datum, n_max, trial=trial)
     base = compress(op, trial, test, n_max, datum)
     ok = True
     for N in range(1, n_max + 1):
@@ -533,18 +500,20 @@ def _demo_bad_truncation(lines):
     return ok
 
 
+def _zero_datum_sweep(operator: str, n_max: int, family: str):
+    """The records of `run` with a zero datum and solution on the canonical frame."""
+    _, records = _truncation_records(
+        ProblemConfig(operator=operator, datum="zero", exact_solution="zero"),
+        TruncationConfig(
+            trial="canonical", n_list=tuple(range(1, n_max + 1)), solution_family=family
+        ),
+        DEFAULT_TRACKED,
+    )
+    return records
+
+
 def _demo_pathological_family(lines):
-    op = _build_operator("weighted-right-shift:pow:1,1")
-    basis = canonical_basis()
-    datum = Seq.zero()
-    f_exact = Seq.zero()
-    base = compress(op, basis, basis, 40, datum)
-    records = []
-    for N in range(1, 41):
-        sol = solve_direct(base.leading(N), family="kernel-scaled")
-        records.append(
-            evaluate(op, datum, sol, basis, basis, f_exact=f_exact)
-        )
+    records = _zero_datum_sweep("weighted-right-shift:pow:1,1", 40, "kernel-scaled")
     norms_diverge = all(
         abs(rec.err_norm - rec.N) <= 1e-12 * rec.N for rec in records
     )
@@ -557,21 +526,14 @@ def _demo_pathological_family(lines):
 
 
 def _demo_shift_weak_residual(lines):
-    op = _build_operator("right-shift")
-    basis = canonical_basis()
-    datum = Seq.zero()
-    base = compress(op, basis, basis, 100, datum)
-    records = []
-    res_exact = True
-    comps_ok = True
-    for N in range(1, 101):
-        sol = solve_direct(base.leading(N), family="kernel-unit")
-        rec = evaluate(op, datum, sol, basis, basis, f_exact=Seq.zero())
-        records.append(rec)
-        res_exact = res_exact and rec.res_norm == 1.0
-        for n, _, res_c in rec.tracked_components:
-            if N > n and res_c is not None and abs(res_c) > 1e-12:
-                comps_ok = False
+    records = _zero_datum_sweep("right-shift", 100, "kernel-unit")
+    res_exact = all(rec.res_norm == 1.0 for rec in records)
+    comps_ok = all(
+        abs(res_c) <= 1e-12
+        for rec in records
+        for n, _, res_c in rec.tracked_components
+        if rec.N > n and res_c is not None
+    )
     verdict = classify(records, "residual")
     ok = res_exact and comps_ok and verdict.label == "weak-not-strong"
     lines.append(f"res_norm == 1.0 exactly at every N: {'yes' if res_exact else 'NO'}")

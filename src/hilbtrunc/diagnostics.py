@@ -298,10 +298,6 @@ class NoiseModel:
     def noise_norm_sq(self) -> float:
         return law_tail_sq(self.nu_law, 0)
 
-    def solvable(self) -> bool:
-        """Whether g_n/sigma_n is square-summable (computed, not assumed)."""
-        return math.isfinite(law_tail_sq(self.solution_law(), 0))
-
 
 @dataclass(frozen=True)
 class NoiseSeries:

@@ -315,9 +315,10 @@ class Func:
     def inner(self, other: "Func") -> complex:
         """L2 inner product, antilinear in self.
 
-        The oscillatory terms go through the Gram blocks of
-        `inner_matrix`: the moments of the Legendre degrees against each
-        atom, and one iosc per distinct pair of m1 + m2 and w2 - w1.
+        The Legendre parts meet in one vdot.  The oscillatory terms are
+        three Gram products, as in `inner_matrix`: the moments of the
+        Legendre degrees against each atom, both ways, and one iosc per
+        distinct pair of m1 + m2 and w2 - w1 between the atoms.
         """
         self._check(other)
         total = 0.0 + 0.0j
@@ -331,26 +332,13 @@ class Func:
         atoms1, c1 = zip(*left) if left else ((), ())
         atoms2, c2 = zip(*right) if right else ((), ())
         c1, c2 = np.conj(c1), np.array(c2)
-        # the terms are added one after another: self's Legendre part
-        # against each atom of other, then for each atom of self, other's
-        # Legendre part and each atom of other.  That is the order of a
-        # pair-by-pair loop.  Summed as three matrix products instead, the
-        # error and residual norms of Fourier-trial sweeps moved by up to
-        # 5 ulp from that loop's; in this order by up to 2
-        terms = [np.array([total])]
         if right and len(self.leg):
-            moments = _moments(self.interval, atoms2, len(self.leg))
-            terms.append(c2 * (self.leg.conj() @ moments))
-        rows = []
+            total += (self.leg.conj() @ _moments(self.interval, atoms2, len(self.leg))) @ c2
         if left and len(other.leg):
-            moments = _moments(self.interval, atoms1, len(other.leg))
-            rows.append(c1 * (other.leg @ moments.conj()))
+            total += c1 @ (other.leg @ _moments(self.interval, atoms1, len(other.leg)).conj())
         if left and right:
-            gram = _atom_gram(self.interval, atoms1, atoms2)
-            rows.append(c1[:, None] * c2[None, :] * gram)
-        if rows:
-            terms.append(np.column_stack(rows).ravel())
-        return complex(np.cumsum(np.concatenate(terms))[-1])
+            total += c1 @ _atom_gram(self.interval, atoms1, atoms2) @ c2
+        return complex(total)
 
     def norm(self) -> float:
         if not self.osc:
@@ -368,15 +356,6 @@ class Func:
         for (m, w), c in self.osc.items():
             out += c * x ** m * np.exp(1j * w * x)
         return out
-
-    def compact(self) -> "Func":
-        """Drop exactly-zero oscillatory terms and trailing zero Legendre tail."""
-        osc = {k: c for k, c in self.osc.items() if c != 0}
-        leg = self.leg
-        n = len(leg)
-        while n > 0 and leg[n - 1] == 0:
-            n -= 1
-        return Func(self.interval, leg[:n].copy(), osc)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,7 @@ class TestKrylovBasis:
             kb.element(4)
 
 
+@pytest.mark.bitwise
 class TestKrylovBasisOnDemand:
     """A Krylov family builds its vectors when they are asked for, with
     the recursion an eagerly built basis runs."""
@@ -338,6 +339,7 @@ ARNOLDI_PINS = {
 }
 
 
+@pytest.mark.bitwise
 class TestArnoldiOnWindows:
     @pytest.mark.parametrize(
         "case, steps",
@@ -458,6 +460,7 @@ class TestSvdBases:
         np.testing.assert_allclose(gram(test, 30), np.eye(30), atol=1e-10)
 
 
+@pytest.mark.bitwise
 class TestAdversarialBasis:
     def test_every_truncation_singular(self):
         """The defining property: sigma_min(A_N) <= 1e-10 for all N, with
@@ -553,6 +556,7 @@ def adversarial_at(operator, trial_name, n_max):
     return compress(op, trial, test, n_max, datum).A_N, inner_matrix(block, block)
 
 
+@pytest.mark.bitwise
 class TestAdversarialContractAtScale:
     """Row N of A_N vanishes and the family is orthonormal, at N = 200."""
 

@@ -114,6 +114,7 @@ def bitwise_equal(a, b):
 ATOM_TRIALS = ("fourier", "svd")  # trial elements holding atoms x^m e^{iwx}
 
 
+@pytest.mark.bitwise
 class TestCompressMatchesReference:
     """One block application and the shared product give the reference's
     bits; the bits do not depend on the BLAS thread count."""
@@ -165,6 +166,7 @@ def test_block_kernels_act_column_by_column(kernel, n):
         assert bitwise_equal(out[:, j], kernel(block[:, j].copy()))
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("seed", range(20))
 def test_volterra_apply_sums_atoms_as_apply_block(seed):
     """Four atoms of one frequency listed in reverse (m, w) order: the

@@ -44,11 +44,6 @@ def column(header, rows, name, cast=float):
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_presets_serialize_and_parse_back(self, name):
-        cfg = PRESETS[name]
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
-
     @pytest.mark.parametrize("name", ["weird", "DEFAULT"])
     def test_bad_section_rejected(self, name):
         with pytest.raises(ConfigError, match="unknown config sections"):
@@ -161,6 +156,29 @@ class TestDemos:
         with pytest.raises(ConfigError):
             demo("mystery")
 
+    @pytest.mark.parametrize(
+        "operator,n_max,family,name,want",
+        [
+            ("weighted-right-shift:pow:1,1", 40, "kernel-scaled", "err_norm", float),
+            ("right-shift", 100, "kernel-unit", "res_norm", lambda N: 1.0),
+        ],
+    )
+    def test_shift_demos_are_zero_datum_runs(self, tmp_path, operator, n_max, family, name, want):
+        """`run` on the sections of a shift demo writes the norms its
+        verdict reads: ||f_N|| = N for the pathological family, and a
+        residual of norm 1 for the right shift."""
+        Ns = list(range(1, n_max + 1))
+        cfg, out = tmp_path / "c.ini", tmp_path / "o.csv"
+        cfg.write_text(
+            f"[problem]\noperator = {operator}\ndatum = zero\nexact_solution = zero\n"
+            f"[truncation]\ntrial = canonical\nn_list = {','.join(map(str, Ns))}\n"
+            f"solution_family = {family}\n[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "N", int) == Ns
+        assert column(header, rows, name) == pytest.approx([want(N) for N in Ns], rel=1e-12)
+
 
 class TestMain:
     def test_list_presets_mentions_everything(self, capsys):
@@ -199,6 +217,23 @@ class TestMain:
             "[output]\ncsv = out.csv\n"
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize(
+        "frame,operator,datum,space",
+        [
+            ("legendre", "right-shift", "basis-e:1", "function"),
+            ("fourier", "right-shift", "basis-e:1", "function"),
+            ("canonical", "volterra", "poly:1", "sequence"),
+        ],
+    )
+    def test_frame_on_the_other_space_exit_three(
+        self, tmp_path, capsys, frame, operator, datum, space
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_truncation_ini(operator, datum, frame, frame, "qr"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"capability mismatch: {frame} basis needs a {space}-space operator\n"
 
     def test_demo_via_main(self, tmp_path):
         assert main(["demo", "bad-truncation", "--out", str(tmp_path / "r.txt")]) == 0
@@ -423,6 +458,18 @@ class TestConfigValueErrors:
             warnings.simplefilter("error")
             assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("key", ["sigma_law", "g_law", "nu_law"])
+    def test_bad_law_spec_exit_two(self, tmp_path, capsys, key):
+        laws = {"sigma_law": "pow:1,1", "g_law": "pow:1,2", "nu_law": "pow:1,1.5", key: "pow:x"}
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(
+            "[noise]\n" + "".join(f"{k} = {v}\n" for k, v in laws.items())
+            + "[output]\ncsv = out.csv\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: bad law spec 'pow:x': malformed law 'pow:x'\n"
+
     def test_divergent_solution_law_is_unsolvable_without_warnings(self, tmp_path):
         """g_n / sigma_n = n^-2 / 0.9^n grows: the tail sum is inf, quietly."""
         cfg = tmp_path / "n.ini"
@@ -441,8 +488,9 @@ class TestConfigValueErrors:
     def test_noise_rows_are_the_cells_formatted_one_by_one(self, tmp_path, sigma_law):
         """Rows written from whole columns equal `_fmt` of each numpy
         scalar, inf included."""
-        from hilbtrunc.cli import _build_law, _fmt
+        from hilbtrunc.cli import _fmt
         from hilbtrunc.diagnostics import NoiseModel, noise_series
+        from hilbtrunc.operators import parse_law
 
         cfg = tmp_path / "n.ini"
         cfg.write_text(
@@ -452,7 +500,7 @@ class TestConfigValueErrors:
         out = tmp_path / "o.csv"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         laws = (sigma_law, "pow:1,2", "pow:1,1.5")
-        series = noise_series(NoiseModel(*map(_build_law, laws)), 60)
+        series = noise_series(NoiseModel(*map(parse_law, laws)), 60)
         want = [
             [str(int(series.N[i]))]
             + [_fmt(c[i]) for c in (series.alpha, series.beta, series.res_sq, series.err_sq)]

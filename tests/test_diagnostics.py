@@ -264,7 +264,7 @@ class TestNoiseSeries:
     def test_noise_norm_is_zeta_three(self):
         model = example_62_model()
         assert abs(model.noise_norm_sq() - ZETA3) < 1e-12
-        assert model.solvable()
+        assert noise_series(model, 1).solvable
 
     def test_beta_zero_is_basel_sum(self):
         series = noise_series(example_62_model(), 50)

@@ -112,11 +112,6 @@ class TestFunc:
         with pytest.raises(SpaceMismatchError):
             Func.from_leg((0.0, 1.0), [1.0]) + Func.from_leg((1.0, 2.0), [1.0])
 
-    def test_compact_drops_exact_zeros(self):
-        f = Func((0.0, 1.0), np.array([1.0, 0.0, 0.0]), {(0, math.pi): 0.0})
-        g = f.compact()
-        assert len(g.leg) == 1 and not g.osc
-
 
 def pair_loop_inner(u, v):
     """The inner product with one iosc call per pair of atoms: the

@@ -853,6 +853,7 @@ def assert_same_solutions(got, want):
             assert_same_bits(a.element.leg, b.element.leg)
 
 
+@pytest.mark.bitwise
 class TestKrylovMatchesEagerReference:
     """The step-wise solvers return bitwise what the solvers that built
     every Arnoldi vector first returned."""
@@ -918,6 +919,7 @@ def _krylov_ini(operator, datum, n_list, solver, exact=None):
     )
 
 
+@pytest.mark.bitwise
 class TestKrylovCsvMatchesEagerReference:
     """CLI runs write the same bytes as with the eager solvers patched in,
     tracked components past the stop and blanks past a breakdown included."""
