@@ -213,6 +213,14 @@ class KrylovBasis(OrthonormalBasis):
     each -0.0 into +0.0, and no later difference makes a new -0.0.
     The windows grow as without the skip.  On the shifts from a basis
     vector this leaves O(1) terms per step instead of k + 1.
+
+    Once w is that fresh copy and a window lies inside w's, the overlap
+    is the whole window and the difference needs no growth: such nested
+    windows, every one past the first on a dense recursion, take one
+    `vdot`, one scale and one subtraction in place.  Each entry is kept
+    as the numpy scalar `vdot(v, w) + 0j`, with no round trip through a
+    Python complex: IEEE addition commutes, so it has the bits of
+    `0j + vdot(v, w)`, the sum `inner` forms, signed zeros included.
     """
 
     def __init__(self, op: BoundedOperator, g, size: int):
@@ -270,27 +278,35 @@ class KrylovBasis(OrthonormalBasis):
         # `image` keeps its coefficients, and -0.0 becomes +0.0 as in a sum
         clean = False
         column = []
+        vdot = np.vdot  # bound per step, so a patched np.vdot is seen
         for vlo, vhi, v, nlo, nhi in windows:
             meets = nlo < shi and slo < nhi
-            if meets:
-                # <v, w> over the overlap, summed as Seq.inner / Func.inner do
-                start = vlo if vlo > lo else lo
-                stop = vhi if vhi < hi else hi
-                hik = 0.0 + 0.0j
-                hik += np.vdot(v[start - vlo : stop - vlo], w[start - lo : stop - lo])
-                hik = complex(hik)
+            if clean and lo <= vlo and vhi <= hi:
+                # nested: the overlap is v's window, and w needs no growth
+                if meets:
+                    ws = w[vlo - lo : vhi - lo]
+                    hik = vdot(v, ws) + 0j
+                    ws -= hik * v
+                else:
+                    hik = 0j
             else:
-                hik = 0j
-            column.append(hik)
-            # w - hik v on the union of the windows, as Func/Seq.__add__ do
-            if not clean or vlo < lo or vhi > hi:
+                if meets:
+                    # <v, w> over the overlap, summed as Seq.inner / Func.inner do
+                    start = vlo if vlo > lo else lo
+                    stop = vhi if vhi < hi else hi
+                    hik = vdot(v[start - vlo : stop - vlo], w[start - lo : stop - lo]) + 0j
+                else:
+                    hik = 0j
+                # w - hik v on the union of the windows, as Func/Seq.__add__ do
                 start = vlo if vlo < lo else lo
                 stop = vhi if vhi > hi else hi
                 grown = np.zeros(stop - start, dtype=complex)
                 grown[lo - start : hi - start] += w
                 lo, hi, w, clean = start, stop, grown, True
+                if meets:
+                    w[vlo - lo : vhi - lo] -= hik * v
+            column.append(hik)
             if meets:
-                w[vlo - lo : vhi - lo] -= hik * v
                 if nlo < slo:
                     slo = nlo
                 if nhi > shi:
@@ -399,6 +415,9 @@ def adversarial_test_basis(
     leverage (column norm of Q).  With at most 2N - 1 rows in 4 n_max
     columns that is below 1/2.  Where it is 0, as past a banded
     operator's images, v_N is that frame vector and row N exact zeros.
+    If that column of Q is exact zeros (not just of squares that
+    underflow), the passes would return the frame vector bit for bit,
+    so it joins Q without them.
     The images come from one block application, their frame
     coordinates from the frame's block, and v_N is placed at the frame's
     coordinates: no frame element is built.
@@ -426,7 +445,14 @@ def adversarial_test_basis(
     for image in image_coords:
         join(image)
         picked.append(rows)
-        join(np.eye(1, width, int(np.argmin(leverage)), dtype=complex)[0])
+        j = int(np.argmin(leverage))
+        if Q[:rows, j].any():
+            join(np.eye(1, width, j, dtype=complex)[0])
+        else:
+            # both passes would return e_j bit for bit: Q[:rows] e_j is zeros
+            Q[rows, j] = 1.0
+            leverage[j] = 1.0
+            rows += 1
     test_coords = Q[picked]  # a copy: no row keeps Q alive
     return OrthonormalBasis(
         label=f"adversarial[{op.label};{trial.label}]",

@@ -305,6 +305,20 @@ class SparseMatrix(RightShift):
         return Seq("nat", 1, self.matrix @ x)
 
 
+class TrimmedSparseMatrix(SparseMatrix):
+    """A SparseMatrix whose images are stored on the window of their
+    nonzero coefficients, so that a later vector's window can reach past
+    both the image's and the first vector's."""
+
+    def apply(self, f):
+        values = super().apply(f).values
+        nonzero = np.flatnonzero(values)
+        if not len(nonzero):
+            return Seq("nat", 1, [])
+        first, last = int(nonzero[0]), int(nonzero[-1])
+        return Seq("nat", 1 + first, values[first : last + 1])
+
+
 SEQ_DATUM = np.array([1.0, 0.5j, -0.25, 0.0, 0.125])
 GAPPED_DATUM = np.array([1.0, 0.0, 0.0, 0.0, 0.5])
 ARNOLDI_PINS = {
@@ -332,6 +346,14 @@ ARNOLDI_PINS = {
         SparseMatrix({(2, 7): 1.0, (4, 4): 1.0, (7, 8): -2.0, (8, 2): -2.0, (8, 4): 1.0}),
         Seq("nat", 1, [0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0]),
     ),
+    # e3 -> e1 -> e4 -> e2 -> e5 -> e3 + e6 / 2: after w's first growth,
+    # a later window reaches below w's (step 2) and above it (step 3)
+    "window-reaches-out": (
+        TrimmedSparseMatrix(
+            {(1, 3): 1.0, (4, 1): 1.0, (2, 4): 1.0, (5, 2): 1.0, (3, 5): 1.0, (6, 5): 0.5}
+        ),
+        Seq.basis_vector(3),
+    ),
     "sparse-span-grows-up": (
         SparseMatrix({(1, 3): 0.1, (2, 3): 0.5, (3, 2): -1.0, (4, 2): 0.5, (5, 1): -1.0}),
         Seq("nat", 1, [0.0, 1.0, 0.0, 1.0, 0.0]),
@@ -344,8 +366,9 @@ class TestArnoldiOnWindows:
     @pytest.mark.parametrize(
         "case, steps",
         [(case, steps) for steps in (0, 1, 7, 60) for case in sorted(ARNOLDI_PINS)]
-        # the length of the benchmark's shift runs
-        + [("right-shift-e1", 280)],
+        # the length of the benchmark's shift and volterra runs, where most
+        # windows lie inside w's; mult-x as long as the benchmark's GMRES run
+        + [("right-shift-e1", 280), ("volterra", 280), ("mult-x", 120)],
     )
     def test_bitwise_equal_to_elementwise_mgs(self, case, steps):
         """The coefficient windows give H and every vector of the
@@ -379,6 +402,31 @@ class TestArnoldiOnWindows:
         steps = 200
         arnoldi(parse_operator(spec), g, steps)
         assert len(calls) <= steps
+        # the count is live: on the weighted shift from a dense datum every
+        # term meets, one call each but the first step's
+        spec, g = ARNOLDI_PINS["weighted-shift-nat"]
+        calls.clear()
+        arnoldi(parse_operator(spec), g, steps)
+        assert len(calls) == steps * (steps + 1) // 2 - 1
+
+    @pytest.mark.parametrize("case", ["volterra", "mult-seq-pow"])
+    def test_images_keep_their_coefficients(self, case):
+        """The first difference goes to a fresh array even where the
+        image's window holds the vector's: no image is written to."""
+        spec, g = ARNOLDI_PINS[case]
+        op = parse_operator(spec)
+        images = []
+
+        def recorded(f):
+            image = type(op).apply(op, f)
+            images.append((image, np.copy(image.values if isinstance(image, Seq) else image.leg)))
+            return image
+
+        op.apply = recorded
+        arnoldi(op, g, 7)
+        assert images
+        for image, before in images:
+            assert bitwise_equal(image.values if isinstance(image, Seq) else image.leg, before)
 
     def test_breakdown_cases_break_down(self):
         assert arnoldi(parse_operator("mult-seq:const:3"), Seq.basis_vector(1), 5)[2]
@@ -513,6 +561,8 @@ class TestAdversarialBasis:
         for N in range(1, n + 1):
             assert np.max(np.abs(A[N - 1, :N])) <= 1e-12 * np.max(np.abs(A))
         assert np.max(np.abs(coords.conj() @ coords.T - np.eye(n))) <= 1e-13
+        # no v_N is a frame vector: each came through the two passes
+        assert np.all(np.count_nonzero(coords, axis=1) > 1)
 
     @pytest.mark.parametrize(
         "op,trial",
@@ -556,6 +606,35 @@ def adversarial_at(operator, trial_name, n_max):
     return compress(op, trial, test, n_max, datum).A_N, inner_matrix(block, block)
 
 
+def adversarial_by_gram_schmidt(op, trial, n_max):
+    """Frame coordinates of the adversarial family with every v_N joined
+    through two classical Gram-Schmidt passes: the reference."""
+    frame = legendre_basis(op.space[1]) if op.space[0] == "func" else canonical_basis(op.space[1])
+    images = op.apply_block(trial.block(n_max))
+    width = 4 * n_max
+    image_coords = inner_matrix(frame.block(width, sparse=True), images).T
+    Q = np.zeros((2 * n_max, width), dtype=complex)
+    leverage = np.zeros(width)
+    rows, picked = 0, []
+
+    def join(c):
+        nonlocal rows
+        r = c
+        for _ in range(2):
+            r = r - np.conj(Q[:rows] @ np.conj(r)) @ Q[:rows]
+        norm = np.linalg.norm(r)
+        if norm > BREAKDOWN_RTOL * np.linalg.norm(c):
+            Q[rows] = r / norm
+            leverage[:] += np.abs(Q[rows]) ** 2
+            rows += 1
+
+    for image in image_coords:
+        join(image)
+        picked.append(rows)
+        join(np.eye(1, width, int(np.argmin(leverage)), dtype=complex)[0])
+    return Q[picked]
+
+
 @pytest.mark.bitwise
 class TestAdversarialContractAtScale:
     """Row N of A_N vanishes and the family is orthonormal, at N = 200."""
@@ -581,6 +660,23 @@ class TestAdversarialContractAtScale:
         trial = fourier_basis(op.space[1])
         first, second = (adversarial_test_basis(op, trial, 200).block(200) for _ in range(2))
         assert np.array_equal(first.coords, second.coords)
+
+    @pytest.mark.parametrize(
+        "operator,trial",
+        [("volterra", "legendre"), ("mult-x:0.75,2", "legendre"), ("right-shift", "canonical")],
+    )
+    def test_frame_vectors_join_as_through_gram_schmidt(self, operator, trial):
+        """A frame vector whose column of Q is zeros joins Q without the
+        two passes; every v_N equals the passes-only loop's bit for bit."""
+        op = parse_operator(operator)
+        datum = parse_element("poly:0.3,1,0.5" if op.space[0] == "func" else "basis-e:1", op)
+        trial_basis = make_basis(trial, op, datum, 200)
+        ref = adversarial_by_gram_schmidt(op, trial_basis, 200)
+        assert np.any(np.count_nonzero(ref, axis=1) == 1)  # some v_N is a frame vector
+        test = adversarial_test_basis(op, trial_basis, 200)
+        for n, row in enumerate(ref, start=1):
+            v = test.element(n)
+            assert bitwise_equal(v.leg if isinstance(v, Func) else v.values, row)
 
 
 class TestCompletenessInPractice:
