@@ -203,24 +203,27 @@ class KrylovBasis(OrthonormalBasis):
     and the same bits.  Only the operator sees elements, one per step.
     Data or images holding oscillatory atoms raise CapabilityError.
 
+    w is allocated once per step, in fresh zeros on the union of the
+    image's window and the last vector's, which holds every earlier
+    window: the window the differences would grow it to.  Its window so
+    far, [rlo, rhi), is the image's grown by each window visited, and
+    each <v, w> runs over v's overlap with it, as `inner` does; a window
+    inside it overlaps whole, with no clipping.  Each difference is
+    subtracted in place.  Each entry is kept as the numpy scalar
+    `vdot(v, w) + 0j`, with no round trip through a Python complex: IEEE
+    addition commutes, so it has the bits of `0j + vdot(v, w)`, the sum
+    `inner` forms, signed zeros included.
+
     Each window keeps the span [first, last + 1) of its nonzero
     coefficients, and w carries a span holding all of its own: the
     image's, grown by the span of each term subtracted.  A term whose
     span misses w's is skipped, its H entry stored as 0j.  That is
     exact for finite coefficients: every product in <v, w> has a zero
     factor, so 0j + the sum is +0j; and w - 0j v is w bit for bit,
-    since the first term always copies w into fresh zeros, which turns
-    each -0.0 into +0.0, and no later difference makes a new -0.0.
-    The windows grow as without the skip.  On the shifts from a basis
-    vector this leaves O(1) terms per step instead of k + 1.
-
-    Once w is that fresh copy and a window lies inside w's, the overlap
-    is the whole window and the difference needs no growth: such nested
-    windows, every one past the first on a dense recursion, take one
-    `vdot`, one scale and one subtraction in place.  Each entry is kept
-    as the numpy scalar `vdot(v, w) + 0j`, with no round trip through a
-    Python complex: IEEE addition commutes, so it has the bits of
-    `0j + vdot(v, w)`, the sum `inner` forms, signed zeros included.
+    since the sum into fresh zeros turns each -0.0 into +0.0, and no
+    later difference makes a new -0.0.  The window so far grows as
+    without the skip.  On the shifts from a basis vector this leaves
+    O(1) terms per step instead of k + 1.
     """
 
     def __init__(self, op: BoundedOperator, g, size: int):
@@ -270,47 +273,39 @@ class KrylovBasis(OrthonormalBasis):
         op, windows, vectors, k = self.op, self._windows, self.vectors, self.done
         image = op.apply(vectors[k])
         pre = image.norm()
-        lo, w = _window(op, image)
-        hi = lo + len(w)
+        rlo, r = _window(op, image)
+        rhi = rlo + len(r)
         # [slo, shi) holds every nonzero coefficient of w
-        slo, shi = _span(lo, w)
-        # the first difference goes to a new array, as __add__ makes one:
-        # `image` keeps its coefficients, and -0.0 becomes +0.0 as in a sum
-        clean = False
+        slo, shi = _span(rlo, r)
+        # w on the union of every window; `image` keeps its coefficients
+        lo = min(rlo, windows[-1][0])
+        hi = max(rhi, windows[-1][1])
+        w = np.zeros(hi - lo, dtype=complex)
+        w[rlo - lo : rhi - lo] += r
         column = []
         vdot = np.vdot  # bound per step, so a patched np.vdot is seen
         for vlo, vhi, v, nlo, nhi in windows:
-            meets = nlo < shi and slo < nhi
-            if clean and lo <= vlo and vhi <= hi:
-                # nested: the overlap is v's window, and w needs no growth
-                if meets:
-                    ws = w[vlo - lo : vhi - lo]
+            if nlo < shi and slo < nhi:
+                ws = w[vlo - lo : vhi - lo]
+                if rlo <= vlo and vhi <= rhi:
                     hik = vdot(v, ws) + 0j
-                    ws -= hik * v
-                else:
-                    hik = 0j
-            else:
-                if meets:
-                    # <v, w> over the overlap, summed as Seq.inner / Func.inner do
-                    start = vlo if vlo > lo else lo
-                    stop = vhi if vhi < hi else hi
+                else:  # over the overlap, as Seq.inner / Func.inner sum it
+                    start = vlo if vlo > rlo else rlo
+                    stop = vhi if vhi < rhi else rhi
                     hik = vdot(v[start - vlo : stop - vlo], w[start - lo : stop - lo]) + 0j
-                else:
-                    hik = 0j
-                # w - hik v on the union of the windows, as Func/Seq.__add__ do
-                start = vlo if vlo < lo else lo
-                stop = vhi if vhi > hi else hi
-                grown = np.zeros(stop - start, dtype=complex)
-                grown[lo - start : hi - start] += w
-                lo, hi, w, clean = start, stop, grown, True
-                if meets:
-                    w[vlo - lo : vhi - lo] -= hik * v
-            column.append(hik)
-            if meets:
+                ws -= hik * v
                 if nlo < slo:
                     slo = nlo
                 if nhi > shi:
                     shi = nhi
+            else:
+                hik = 0j
+            column.append(hik)
+            # [rlo, rhi) is w's window so far, as Func/Seq.__add__ grow it
+            if vlo < rlo:
+                rlo = vlo
+            if vhi > rhi:
+                rhi = vhi
         H = self.H
         H[: k + 1, k] = column
         hn = float(np.linalg.norm(w))

@@ -18,6 +18,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .core import CapabilityError, ConfigError, SpaceMismatchError, singular_values
 from .elements import Func, Seq
 from .operators import BoundedOperator, parse_law, parse_operator
@@ -282,7 +284,12 @@ def parse_element(text: str, op: BoundedOperator):
             raise ConfigError(f"bad poly spec {text!r}") from exc
         if not all(map(math.isfinite, coeffs)):
             raise ConfigError(f"bad poly spec {text!r}: coefficients must be finite")
-        return Func.from_poly(op.space[1], coeffs)
+        f = Func.from_poly(op.space[1], coeffs)
+        with np.errstate(over="ignore"):  # checked below
+            norm = f.norm()
+        if not math.isfinite(norm):
+            raise ConfigError(f"bad poly spec {text!r}: its norm is not finite")
+        return f
     if head == "basis-e":
         if not seq_space:
             raise ConfigError("basis-e datum needs a sequence-space operator")
@@ -339,8 +346,11 @@ def _fmt(x) -> str:
 
 
 def _write_deterministic(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("ascii"))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("ascii"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _gnuplot_script(csv_name: str, columns) -> str:
@@ -574,7 +584,11 @@ def _load_config(source: str) -> ExperimentConfig:
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"{source!r} is neither a preset nor a config file")
-    return ExperimentConfig.from_text(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {source!r}: {exc}") from exc
+    return ExperimentConfig.from_text(text)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:

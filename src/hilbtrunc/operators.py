@@ -345,8 +345,9 @@ class MultiplicationX(BoundedOperator):
 
     def __init__(self, interval):
         a, b = (float(interval[0]), float(interval[1]))
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"interval [{a}, {b}] is not finite")
+        # also not finite when a bound is: its width is then inf or nan
+        if not math.isfinite(b - a):
+            raise ValueError(f"interval [{a}, {b}] has no finite width")
         if not a < b:
             raise ValueError(f"degenerate interval [{a}, {b}]")
         super().__init__(

@@ -83,6 +83,19 @@ class TestConfigRoundTrip:
             ).read_bytes()
 
 
+    def test_readme_library_example_runs_as_written(self, capsys):
+        """The README's Python block prints, for N = 5, 10, 20, the error
+        and residual at roundoff and the norm 1/sqrt(3) of f = x."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == ["5", "10", "20"]
+        for _, err, res, sol in rows:
+            assert abs(float(sol) - 1 / math.sqrt(3)) <= 1e-15
+            assert float(err) < 1e-14 and float(res) < 1e-14
+
+
 class TestRun:
     def test_first_problem_preset(self, tmp_path):
         from dataclasses import replace
@@ -200,6 +213,29 @@ class TestMain:
         assert main(["run", str(bad)]) == 2
         assert main(["run", "no-such-preset"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "volterra-g1", "--out", "DIR"],
+            ["demo", "bad-truncation", "--out", "DIR"],
+            ["run", "volterra-g1", "--out", "FILE/o.csv"],
+            ["run", "DIR"],
+        ],
+        ids=["run-out-dir", "demo-out-dir", "out-under-file", "config-dir"],
+    )
+    def test_unusable_path_exit_two(self, tmp_path, capsys, argv):
+        """A config path or an output path that is a directory, or an
+        output path under a file, is one config error line, not a
+        traceback, and nothing is written."""
+        (tmp_path / "DIR").mkdir()
+        (tmp_path / "FILE").write_text("")
+        argv = [str(tmp_path / a) if a in ("DIR", "FILE/o.csv") else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "FILE"]
+        assert not any((tmp_path / "DIR").iterdir())
+
     def test_capability_mismatch_exit_three(self, tmp_path):
         cfg = tmp_path / "cg-volterra.ini"
         cfg.write_text(
@@ -311,28 +347,42 @@ class TestConfigValueErrors:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize(
-        "operator,datum,exact",
+        "operator,datum,exact,solver",
         [
-            ("volterra", "poly:nan", None),
-            ("volterra", "poly:inf,1", None),
-            ("volterra", "poly:1", "poly:nan"),
-            ("volterra", "poly:1", "poly:inf,1"),
-            ("mult-x:0,inf", "poly:1", None),
+            ("volterra", "poly:nan", None, None),
+            ("volterra", "poly:inf,1", None, None),
+            ("volterra", "poly:1", "poly:nan", None),
+            ("volterra", "poly:1", "poly:inf,1", None),
+            ("mult-x:0,inf", "poly:1", None, None),
+            # finite numbers whose width or norm overflows
+            ("mult-x:-1e308,1e308", "poly:1", None, None),
+            ("mult-x:-1e308,1e308", "zero", None, None),
+            ("volterra", "poly:1e200", None, None),
+            ("volterra", "poly:1e300,1e300", None, None),
+            ("volterra", "poly:1", "poly:0,0,1e160", None),
+            ("volterra", "poly:1e200", None, "gmres"),
         ],
-        ids=["datum-nan", "datum-inf", "exact-nan", "exact-inf", "mult-x-inf"],
+        ids=[
+            "datum-nan", "datum-inf", "exact-nan", "exact-inf", "mult-x-inf",
+            "mult-x-wide", "mult-x-wide-zero-datum", "datum-norm-overflows",
+            "datum-norm-overflows-twice", "exact-norm-overflows", "datum-norm-overflows-gmres",
+        ],
     )
-    def test_non_finite_number_exit_two(self, tmp_path, capsys, operator, datum, exact):
-        """Not a traceback from the least-squares solver, and no CSV of NaNs."""
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, operator, datum, exact, solver):
+        """Not a traceback from the least-squares solver, no CSV of NaNs
+        or infs, and no numpy warning on the way."""
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             f"[problem]\noperator = {operator}\ndatum = {datum}\n"
             + (f"exact_solution = {exact}\n" if exact else "")
             + "[truncation]\ntrial = legendre\ntest = legendre\nn_list = 2,4\n"
-            "[output]\ncsv = out.csv\n"
+            + (f"solver = {solver}\n" if solver else "")
+            + "[output]\ncsv = out.csv\n"
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
