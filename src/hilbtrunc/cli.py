@@ -431,7 +431,12 @@ def _csv_text(meta: dict, columns, rows) -> str:
 def _truncation_csv(cfg: ExperimentConfig):
     """(meta, columns, rows) of a truncation sweep's CSV."""
     tracked = cfg.output.tracked
-    meta, records = _truncation_records(cfg.problem, cfg.truncation, tracked)
+    with np.errstate(over="ignore"):  # checked below
+        meta, records = _truncation_records(cfg.problem, cfg.truncation, tracked)
+    for rec in records:
+        norms = (rec.err_norm, rec.res_norm, rec.sol_norm, rec.eps_norm)
+        if not all(math.isfinite(x) for x in norms if x is not None):
+            raise ConfigError(f"a norm at N = {rec.N} is not finite")
     meta["tracked"] = ",".join(str(n) for n in tracked)
     columns = ["N", "err_norm", "res_norm", "sol_norm", "eps_norm"]
     for n in tracked:

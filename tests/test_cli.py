@@ -361,11 +361,14 @@ class TestConfigValueErrors:
             ("volterra", "poly:1e300,1e300", None, None),
             ("volterra", "poly:1", "poly:0,0,1e160", None),
             ("volterra", "poly:1e200", None, "gmres"),
+            # a finite datum whose solution's norm overflows
+            ("volterra", "poly:1e154", "poly:0,1", None),
         ],
         ids=[
             "datum-nan", "datum-inf", "exact-nan", "exact-inf", "mult-x-inf",
             "mult-x-wide", "mult-x-wide-zero-datum", "datum-norm-overflows",
             "datum-norm-overflows-twice", "exact-norm-overflows", "datum-norm-overflows-gmres",
+            "solution-norm-overflows",
         ],
     )
     def test_non_finite_number_exit_two(self, tmp_path, capsys, operator, datum, exact, solver):

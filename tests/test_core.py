@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hilbtrunc.core import gauss_legendre, qr_least_squares, singular_values
+from hilbtrunc.core import (
+    BANDED_MIN_N,
+    RANK_RTOL,
+    gauss_legendre,
+    qr_least_squares,
+    singular_values,
+)
 
 
 class TestGaussLegendre:
@@ -142,6 +148,66 @@ class TestQrLeastSquares:
         assert x.shape == want.shape == (n,)
         assert x.dtype == want.dtype
         assert not x.any()
+
+    @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_full_rank_band_solved_without_lstsq(self, monkeypatch, bands, dtype):
+        """A diagonally dominant band matrix above BANDED_MIN_N: the
+        solution of np.linalg.solve, in gelsy's dtype, with no call to
+        scipy.linalg.lstsq."""
+        kl, ku = bands
+        N = BANDED_MIN_N + 72
+        rng = np.random.default_rng(kl + 3 * ku)
+        A = np.zeros((N, N), dtype=dtype)
+        for k in range(-kl, ku + 1):
+            d = rng.standard_normal(N - abs(k))
+            if dtype is np.complex128:
+                d = d + 1j * rng.standard_normal(N - abs(k))
+            A += np.diag(d if k else d + 8.0, k)
+        b = rng.standard_normal(N).astype(dtype)
+        want = np.linalg.solve(A, b)
+        dtype_want = scipy.linalg.lstsq(A[:2, :2], b[:2], lapack_driver="gelsy")[0].dtype
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called for a full-rank band system")
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", refused)
+        x = qr_least_squares(A, b)
+        assert x.dtype == dtype_want and x.shape == (N,)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("tiny", [1e-13, 1e-20])
+    def test_band_of_unproven_rank_keeps_gelsy_bits(self, tiny):
+        """No zero pivot, but sigma_min / sigma_max below RANK_RTOL: the
+        rank is not proven, and gelsy's minimum-norm solution (which drops
+        the last component) comes back bit for bit."""
+        N = BANDED_MIN_N + 72
+        A = np.diag(np.linspace(1.0, 2.0, N)) + np.diag(np.full(N - 1, 0.25), 1)
+        A[-1, -1] = tiny
+        b = np.ones(N)
+        want = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")[0]
+        x = qr_least_squares(A, b)
+        assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+        assert abs(x[-1]) < 1.0
+
+    def test_zero_matrix_above_threshold_keeps_gelsy_bits(self):
+        A = np.zeros((BANDED_MIN_N + 72, BANDED_MIN_N + 72))
+        b = np.ones(len(A))
+        want = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")[0]
+        assert qr_least_squares(A, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kl", [99, 199])
+    def test_well_conditioned_wide_band_keeps_gelsy_bits(self, kl):
+        """2 kl + ku + 1 >= N (ku = 1; kl = 99 is the narrowest such band
+        at N = 200): band storage would not pay, so gelsy solves even a
+        well-conditioned system."""
+        N = 200
+        rng = np.random.default_rng(kl)
+        A = np.tril(rng.standard_normal((N, N)), 1) + 30.0 * np.eye(N)
+        A = np.triu(A, -kl)
+        b = rng.standard_normal(N)
+        want = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")[0]
+        assert qr_least_squares(A, b).tobytes() == want.tobytes()
 
     def test_zero_datum_with_non_finite_matrix_still_raises(self):
         A = np.eye(3)

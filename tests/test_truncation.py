@@ -1,13 +1,28 @@
 """Tests for compression, lifting, and the three solver paths."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hilbtrunc.core import RANK_RTOL, CapabilityError, gauss_legendre, singular_values
+import hilbtrunc
+from hilbtrunc.cli import make_basis, parse_element, parse_operator
+from hilbtrunc.core import (
+    BANDED_MIN_N,
+    RANK_RTOL,
+    CapabilityError,
+    gauss_legendre,
+    qr_least_squares,
+    singular_values,
+)
 from hilbtrunc.elements import Func, Seq, inner, lincomb
 from hilbtrunc.operators import (
     MultiplicationSeq,
@@ -438,6 +453,128 @@ class TestKernelVector:
         monkeypatch.setattr(truncation, "_kernel_vector", reference_kernel_vector)
         assert main(["run", "shift.ini", "--out", "ref.csv"]) == 0
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def gelsy(A, b):
+    return scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def frame_truncation(operator, frame, N):
+    """The N x N truncation of `operator` on a frame, with a nonzero datum:
+    poly:0.3,1,0.5 on Legendre, the image of 1/n on canonical."""
+    op = parse_operator(operator)
+    if frame == "canonical":
+        domain = op.space[1]
+        g = op.apply(Seq(domain, 1 if domain == "nat" else -N // 2, 1.0 / np.arange(1, N + 2)))
+    else:
+        g = parse_element("poly:0.3,1,0.5", op)
+    basis = make_basis(frame, op, g, N)
+    return compress(op, basis, basis, N, g)
+
+
+#: The banded frame pairs the CLI accepts.  The weighted shifts on
+#: canonical are singular at every N (the truncation drops the image of
+#: the last index), so they keep gelsy, as the fallback tests pin.
+BANDED_FRAME_PAIRS = [
+    ("volterra", "legendre"),
+    ("mult-x:0.75,2", "legendre"),
+    ("mult-x:0,1", "legendre"),
+    ("mult-seq:pow:1,1", "canonical"),
+    ("weighted-right-shift-z:pow1:1,1", "canonical"),
+]
+
+
+class TestBandedSolve:
+    """Square band truncations above BANDED_MIN_N are solved by banded LU
+    when it proves full rank; everything else keeps gelsy's bits."""
+
+    @pytest.mark.parametrize("N", [129, 200, 640])
+    @pytest.mark.parametrize("operator,frame", BANDED_FRAME_PAIRS)
+    def test_agrees_with_gelsy(self, operator, frame, N):
+        """Largest relative difference measured at these N: 3.8e-15
+        (volterra), 1.3e-15 (mult-x:0.75,2), 3.5e-13 (mult-x:0,1), 0
+        (mult-seq, diagonal; the singular shift keeps gelsy)."""
+        p = frame_truncation(operator, frame, 640).leading(N)
+        assert p.g_N.any()
+        want = gelsy(p.A_N, p.g_N)
+        x = solve_direct(p).f_N_coeffs
+        assert x.dtype == want.dtype
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("operator,frame", BANDED_FRAME_PAIRS[:4])
+    def test_full_rank_band_makes_no_lstsq_call(self, monkeypatch, operator, frame):
+        p = frame_truncation(operator, frame, 640)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called for a full-rank band system")
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", refused)
+        sol = solve_direct(p)
+        assert sol.eps_norm <= 1e-12 * np.linalg.norm(p.g_N)
+
+    @pytest.mark.parametrize(
+        "operator,frame,test,N",
+        [
+            ("volterra", "legendre", "legendre", BANDED_MIN_N),
+            ("right-shift", "canonical", "canonical", 200),
+            ("weighted-right-shift:pow:1,1", "canonical", "canonical", 200),
+            ("weighted-right-shift-z:pow1:1,1", "canonical", "canonical", 640),
+            ("volterra", "fourier", "legendre", 150),
+        ],
+        ids=["at-the-threshold", "singular-shift", "singular-weighted-shift",
+             "singular-shift-z", "dense-fourier-legendre"],
+    )
+    def test_fallbacks_keep_gelsy_bits(self, operator, frame, test, N):
+        op = parse_operator(operator)
+        g = parse_element("basis-e:1" if frame == "canonical" else "poly:0.3,1,0.5", op)
+        trial = make_basis(frame, op, g, N)
+        p = compress(op, trial, make_basis(test, op, g, N), N, g)
+        assert p.g_N.any()
+        assert_same_bits(solve_direct(p).f_N_coeffs, gelsy(p.A_N, p.g_N))
+
+    @pytest.mark.parametrize("where", ["matrix", "datum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises_as_gelsy(self, where, value):
+        p = frame_truncation("volterra", "legendre", 640).leading(200)
+        A, b = p.A_N.copy(), p.g_N.copy()
+        if where == "matrix":
+            A[5, 5] = value
+        else:
+            b[0] = value
+        with pytest.raises(ValueError) as want:
+            gelsy(A, b)
+        with pytest.raises(ValueError) as got:
+            qr_least_squares(A, b)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.bitwise
+    def test_solution_bits_independent_of_blas_threads(self):
+        """The volterra N = 640 solve, in fresh processes with one and
+        two BLAS threads, gives the same bytes."""
+        script = (
+            "import sys\n"
+            "from hilbtrunc.cli import make_basis, parse_element, parse_operator\n"
+            "from hilbtrunc.truncation import compress, solve_direct\n"
+            "op = parse_operator('volterra')\n"
+            "g = parse_element('poly:0.3,1,0.5', op)\n"
+            "leg = make_basis('legendre', op, g, 640)\n"
+            "x = solve_direct(compress(op, leg, leg, 640, g)).f_N_coeffs\n"
+            "sys.stdout.write(x.tobytes().hex())\n"
+        )
+        src = str(Path(hilbtrunc.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 640 * 16 * 2
+        assert outputs[0] == outputs[1]
 
 
 class TestSolveGmres:
