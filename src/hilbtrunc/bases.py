@@ -86,8 +86,26 @@ class OrthonormalBasis:
             columns = np.zeros((N, N), dtype=complex)
             columns[at, np.arange(N)] = 1.0
             coords = columns.T
+        return self._on_window(lo, coords)
+
+    def combs(self, N: int, s: int) -> CoordinateBlock:
+        """s comb probes on a coordinate frame's window of N coordinates:
+        row r holds a 1 at every window coordinate congruent to r mod s.
+
+        For an operator of frame band (kl, ku) and s = kl + ku + 1, the
+        image coefficient at c' reads the s inputs c' - kl .. c' + ku.  Of
+        those, probe c mod s holds a 1 at c alone, as the frame's row for
+        c does, so its image there has the bits of the image of that row."""
+        lo, _ = self.coordinates(N)
+        columns = np.zeros((N, s), dtype=complex)
+        columns[np.arange(N), np.arange(N) % s] = 1.0
+        return self._on_window(lo, columns.T)
+
+    def _on_window(self, lo: int, coords) -> CoordinateBlock:
+        """The block of rows `coords` on the coordinate window from `lo`."""
+        rows, N = coords.shape
         if self.space[0] == "func":
-            return CoordinateBlock(self.space, coords, np.zeros((N, 0), dtype=complex))
+            return CoordinateBlock(self.space, coords, np.zeros((rows, 0), dtype=complex))
         return CoordinateBlock(self.space, coords, index=np.arange(lo, lo + N))
 
     def place(self, coeffs):

@@ -73,7 +73,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
-def qr_least_squares(A: np.ndarray, b) -> np.ndarray:
+def qr_least_squares(A: np.ndarray, b, band=None) -> np.ndarray:
     """Minimum-norm minimizer of ||A x - b||.
 
     For square nonsingular A this is the exact solution.  Rank decisions
@@ -84,6 +84,8 @@ def qr_least_squares(A: np.ndarray, b) -> np.ndarray:
     BANDED_MIN_N that banded LU proves to have full rank is solved by
     that LU (see `_banded_solve`); every other system, and every one of
     at most BANDED_MIN_N rows, by pivoted-QR least squares (`gelsy`).
+    `band` = (kl, ku), when given, must bound A's lower and upper
+    bandwidths; it spares the banded path the scan of A for them.
     """
     b = np.asarray(b).reshape(-1)
     if A.shape[0] != len(b):
@@ -91,20 +93,21 @@ def qr_least_squares(A: np.ndarray, b) -> np.ndarray:
     if not b.any() and np.isfinite(A).all():
         gelsy = scipy.linalg.get_lapack_funcs("gelsy", (A, b))
         return np.zeros(A.shape[1], dtype=gelsy.dtype)
-    x = _banded_solve(A, b)
+    x = _banded_solve(A, b, band)
     if x is None:
         x, _, _, _ = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")
     return x
 
 
-def _banded_solve(A: np.ndarray, b: np.ndarray):
+def _banded_solve(A: np.ndarray, b: np.ndarray, band=None):
     """Solution of a square band system of full rank by banded LU, or None.
 
     Applies when A is N x N with N > BANDED_MIN_N, its lower and upper
-    bandwidths kl and ku (read from its nonzeros) satisfy 2 kl + ku + 1
-    < N, and the entries are finite.  The band is factored by `?gbtrf`
-    and solved by `?gbtrs`, O(N (kl + 1) (kl + ku + 1)) work in place of
-    pivoted QR's O(N^3); the LAPACK routines follow the dtype of A and b.
+    bandwidths kl and ku satisfy 2 kl + ku + 1 < N, and the entries are
+    finite (kl and ku from `_bandwidths`, inside `band` when given).  The
+    band is factored by `?gbtrf` and solved by `?gbtrs`, O(N (kl + 1)
+    (kl + ku + 1)) work in place of pivoted QR's O(N^3); the LAPACK
+    routines follow the dtype of A and b.
 
     Full rank counts as proven when `?gbcon`'s estimate of the
     reciprocal 1-norm condition number is at least 10 N RANK_RTOL.  Since
@@ -117,9 +120,7 @@ def _banded_solve(A: np.ndarray, b: np.ndarray):
     n = A.shape[0]
     if A.shape[1] != n or n <= BANDED_MIN_N:
         return None
-    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
-    offsets = cols - rows
-    kl, ku = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    kl, ku = _bandwidths(A, band)
     if 2 * kl + ku + 1 >= n:
         return None
     gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (A, b))
@@ -139,6 +140,22 @@ def _banded_solve(A: np.ndarray, b: np.ndarray):
         return None
     x, _ = gbtrs(lu, kl, ku, b.astype(gbtrf.dtype)[:, None], ipiv, overwrite_b=1)
     return x[:, 0]
+
+
+def _bandwidths(A: np.ndarray, band=None) -> tuple:
+    """The lower and upper bandwidths (kl, ku) of A's nonzeros.
+
+    With `band` = (kl, ku) bounding them they come from the diagonals
+    inside it that hold a nonzero, O(N) each; else from a scan of all of
+    A, O(N^2).  Both give the same pair.
+    """
+    if band is None:
+        rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+        offsets = cols - rows
+    else:
+        held = [k for k in range(-band[0], band[1] + 1) if np.diagonal(A, k).any()]
+        offsets = np.array(held, dtype=int)
+    return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:

@@ -581,6 +581,34 @@ def stack(*lists) -> list:
     return blocks
 
 
+def appended(block: CoordinateBlock, e) -> CoordinateBlock:
+    """The block with the element `e` as one more row.
+
+    The rows share the union of the two sets of columns, so each keeps
+    its own entries, signed zeros included, with zeros in the columns
+    it lacks.
+    """
+    if e.space != block.space:
+        raise SpaceMismatchError(f"cannot pair elements of {block.space} with elements of {e.space}")
+    (row,) = stack([e])
+    n = block.coords.shape[0]
+    if block.space[0] == "seq":
+        index = np.union1d(block.index, row.index)
+        coords = np.zeros((n + 1, len(index)), dtype=complex)
+        coords[:n, np.searchsorted(index, block.index)] = block.coords
+        coords[n, np.searchsorted(index, row.index)] = row.coords[0]
+        return CoordinateBlock(block.space, coords, index=index)
+    coords = np.zeros((n + 1, max(block.coords.shape[1], row.coords.shape[1])), dtype=complex)
+    coords[:n, : block.coords.shape[1]] = block.coords
+    coords[n, : row.coords.shape[1]] = row.coords[0]
+    atoms = sorted(set(block.atoms) | set(row.atoms))
+    slot = {key: j for j, key in enumerate(atoms)}
+    osc = np.zeros((n + 1, len(atoms)), dtype=complex)
+    osc[:n, [slot[key] for key in block.atoms]] = block.osc
+    osc[n, [slot[key] for key in row.atoms]] = row.osc[0]
+    return CoordinateBlock(block.space, coords, osc, tuple(atoms))
+
+
 def _stored_indices(seqs) -> np.ndarray:
     """The sorted indices at which some sequence stores a value: the
     union of their windows, merged into runs."""

@@ -111,9 +111,16 @@ class SvdTriple:
 
 
 class BoundedOperator:
-    """Base class: immutable operator with declared capabilities."""
+    """Base class: immutable operator with declared capabilities.
+
+    `frame_band` = (kl, ku) is the band of the operator's matrix on its
+    frame's coordinates (Legendre degrees on a function space, sequence
+    indices on a sequence space): the image of coordinate c has no
+    nonzero coefficient outside c - ku .. c + kl.  None declares no band.
+    """
 
     kind = "abstract"
+    frame_band = None
 
     def __init__(self, label, space, op_norm=None, self_adjoint=False,
                  positive=False, compact=False):
@@ -180,6 +187,10 @@ class _WeightedShift(BoundedOperator):
 
     weight = None
     step = 0
+
+    @property
+    def frame_band(self):
+        return (self.step, 0)
 
     def apply(self, f):
         self._check(f)
@@ -286,6 +297,7 @@ class Volterra(BoundedOperator):
     """Integration from 0 on L2[0,1]: (Vf)(x) = integral_0^x f."""
 
     kind = "volterra"
+    frame_band = (1, 1)
 
     def __init__(self):
         super().__init__(
@@ -342,6 +354,7 @@ class MultiplicationX(BoundedOperator):
     """Multiplication by the coordinate on L2[a,b]; self-adjoint."""
 
     kind = "multiplication_x"
+    frame_band = (1, 1)
 
     def __init__(self, interval):
         a, b = (float(interval[0]), float(interval[1]))

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .core import CapabilityError, RANK_RTOL, qr_least_squares, singular_values
 from .bases import KrylovBasis, OrthonormalBasis
-from .elements import inner_matrix, lincomb
+from .elements import appended, inner_matrix, lincomb
 from .operators import BoundedOperator
 
 #: Families for picking a solution of a singular truncated problem.
@@ -32,7 +32,9 @@ SOLUTION_FAMILIES = ("min-norm", "kernel-unit", "kernel-scaled")
 class TruncatedProblem:
     """The pair (A_N, g_N) with its provenance; entries are read-only.
 
-    Problems compare and hash by identity.
+    `band` = (kl, ku) bounds the lower and upper bandwidths of A_N where
+    `compress` knows them (a banded operator on its frame); None
+    elsewhere.  Problems compare and hash by identity.
     """
 
     N: int
@@ -41,12 +43,14 @@ class TruncatedProblem:
     trial: str
     test: str
     operator: str
+    band: Optional[tuple] = None
 
     def leading(self, N: int) -> "TruncatedProblem":
         """The truncation at size N <= self.N: the leading N x N block.
 
         Entry (i, j) of a compression does not depend on its size, so
-        the slice equals compressing at N directly.
+        the slice equals compressing at N directly; its band lies inside
+        the band of the whole.
         """
         if not 1 <= N <= self.N:
             raise ValueError(f"need 1 <= N <= {self.N}, got {N}")
@@ -84,12 +88,20 @@ def compress(
 
     The inner projections of the compression are redundant at these
     indices, so entries are computed directly from exact applications:
-    the operator maps the trial block (a coordinate frame's own block,
-    or the stacked trial elements) in one application, and A_N and g_N
-    are `inner_matrix` products of the test block with the images and
-    with g.  A frame's test block is a sparse selection, so on Legendre
+    the operator maps one block in one application, and A_N and g_N come
+    from one `inner_matrix` product of the test block with the images
+    and g.  A frame's test block is a sparse selection, so on Legendre
     and canonical frames A_N is the operator's coefficient matrix, bit
     for bit, and no basis element is built.
+
+    When trial and test are coordinate frames and the operator declares
+    its `frame_band` (kl, ku), the block is the s = kl + ku + 1 comb
+    probes of the trial frame (Curtis, Powell & Reid, J. Inst. Math.
+    Appl. 13, 1974): each entry in the band is read from the probe that
+    holds its column, with the bits the frame's block gives it, and
+    every other entry is a zero.  That is O(N s) work and one N x N
+    array, and the problem carries A_N's band.  Any other pair maps the
+    trial block (a frame's own block, or the stacked trial elements).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -99,8 +111,27 @@ def compress(
             f"space of {op.label}"
         )
     tests = test.block(N, sparse=True)
-    A = inner_matrix(tests, op.apply_block(trial.block(N)))
-    gvec = inner_matrix(tests, [g])[:, 0]
+    frames = trial.coordinates is not None and test.coordinates is not None
+    if frames and op.frame_band is not None:
+        kl, ku = op.frame_band
+        s = kl + ku + 1
+        P = inner_matrix(tests, appended(op.apply_block(trial.combs(N, s)), g))
+        # both are the frame of op's space: one window, one enumeration
+        _, at = trial.coordinates(N)
+        # the window coordinates each column's image reaches, and their rows
+        reach = at + np.arange(-ku, kl + 1)[:, None]
+        inside = (reach >= 0) & (reach < N)
+        cols = np.broadcast_to(np.arange(N), reach.shape)[inside]
+        rows = np.argsort(at)[reach[inside]]
+        A = np.zeros((N, N), dtype=complex)
+        A[rows, cols] = P[rows, at[cols] % s]
+        offsets = cols - rows
+        band = (-int(offsets.min(initial=0)), int(offsets.max(initial=0)))
+    else:
+        P = inner_matrix(tests, appended(op.apply_block(trial.block(N)), g))
+        A = np.ascontiguousarray(P[:, :N])
+        band = None
+    gvec = P[:, -1].copy()
     A.flags.writeable = False
     gvec.flags.writeable = False
     return TruncatedProblem(
@@ -110,6 +141,7 @@ def compress(
         trial=trial.label,
         test=test.label,
         operator=op.label,
+        band=band,
     )
 
 
@@ -171,7 +203,7 @@ def solve_direct(p: TruncatedProblem, family: str = "min-norm") -> ApproxSolutio
     """
     if family not in SOLUTION_FAMILIES:
         raise ValueError(f"unknown solution family {family!r}")
-    x = qr_least_squares(p.A_N, p.g_N)
+    x = qr_least_squares(p.A_N, p.g_N, band=p.band)
     if family != "min-norm":
         kernel = _kernel_vector(p.A_N)
         if kernel is not None:

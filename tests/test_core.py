@@ -9,6 +9,7 @@ import scipy.linalg
 from hilbtrunc.core import (
     BANDED_MIN_N,
     RANK_RTOL,
+    _bandwidths,
     gauss_legendre,
     qr_least_squares,
     singular_values,
@@ -175,6 +176,29 @@ class TestQrLeastSquares:
         x = qr_least_squares(A, b)
         assert x.dtype == dtype_want and x.shape == (N,)
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)])
+    def test_declared_band_gives_the_scans_bandwidths_and_bits(self, bands):
+        """A declared band two diagonals wider than the nonzeros, its
+        outer diagonals holding -0.0 and an inner one zero: the diagonals
+        it reads give the bandwidths of a scan, and the solve the scan's
+        bits."""
+        kl, ku = bands
+        N = BANDED_MIN_N + 72
+        rng = np.random.default_rng(7 * kl + ku)
+        A = np.zeros((N, N), dtype=complex)
+        for k in range(-kl, ku + 1):
+            d = rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k))
+            A += np.diag(d if k else d + 8.0, k)
+        if kl + ku == 4:
+            A[np.arange(N - 1), np.arange(1, N)] = 0.0
+        for k in (-kl - 2, -kl - 1, ku + 1, ku + 2):
+            rows = np.arange(max(-k, 0), N - max(k, 0))
+            A[rows, rows + k] = -0.0
+        b = rng.standard_normal(N) + 0j
+        declared = (kl + 2, ku + 2)
+        assert _bandwidths(A, declared) == _bandwidths(A) == (kl, ku)
+        assert qr_least_squares(A, b, band=declared).tobytes() == qr_least_squares(A, b).tobytes()
 
     @pytest.mark.parametrize("tiny", [1e-13, 1e-20])
     def test_band_of_unproven_rank_keeps_gelsy_bits(self, tiny):

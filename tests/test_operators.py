@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hilbtrunc.cli import make_basis
 from hilbtrunc.core import CapabilityError, SpaceMismatchError
 from hilbtrunc.elements import Func, Seq, inner, stack
 from hilbtrunc.operators import (
@@ -420,3 +421,38 @@ def test_sequence_adjoints_equal_their_compositions(op, reference):
         got, want = op.adjoint_apply(f), reference(f)
         assert (got.domain, got.origin) == (want.domain, want.origin)
         assert _bits(got.values) == _bits(want.values)
+
+
+#: Every operator kind the CLI parses, with each law kind it takes.
+BAND_OPERATORS = [
+    "volterra", "mult-x:1,2", "mult-x:-1,1", "mult-x:0,1", "right-shift",
+    "weighted-right-shift:pow:1,1", "weighted-right-shift:pow1:1,1",
+    "weighted-right-shift:geom:1,0.5", "weighted-right-shift-z:pow1:1,1",
+    "weighted-right-shift-z:geom:1,0.5", "mult-seq:pow:1,1", "mult-seq:pow:-1,1",
+    "mult-seq:pow1:1,2", "mult-seq:geom:1,0.5", "mult-seq:const:2",
+]
+
+
+@pytest.mark.parametrize("opname", BAND_OPERATORS)
+def test_images_of_frame_vectors_stay_in_frame_band(opname):
+    """`apply` and `apply_block` map each of the first 64 frame vectors
+    (Legendre degree 0 up, or sequence indices 1 up, or 0, +1, -1, ...
+    on Z) into the coordinates c - ku .. c + kl of its coordinate c.
+    compress reads A_N off kl + ku + 1 comb probes, so a band declared
+    too narrow would merge columns."""
+    op = parse_operator(opname)
+    kl, ku = op.frame_band
+    frame = make_basis("legendre" if op.space[0] == "func" else "canonical", op, None, 64)
+    lo, at = frame.coordinates(64)
+    block = op.apply_block(frame.block(64))
+    first = 0 if op.space[0] == "func" else block.index[0]
+    for j in range(64):
+        c = lo + at[j]
+        image = op.apply(frame.element(j + 1))
+        if op.space[0] == "func":
+            assert not image.osc and not block.atoms
+            held = np.flatnonzero(image.leg)
+        else:
+            held = image.origin + np.flatnonzero(image.values)
+        assert len(held) and np.all((c - ku <= held) & (held <= c + kl)), (c, held)
+        assert np.array_equal(first + np.flatnonzero(block.coords[j]), held)

@@ -19,6 +19,7 @@ from hilbtrunc.core import (
     BANDED_MIN_N,
     RANK_RTOL,
     CapabilityError,
+    _bandwidths,
     gauss_legendre,
     qr_least_squares,
     singular_values,
@@ -532,6 +533,41 @@ class TestBandedSolve:
         p = compress(op, trial, make_basis(test, op, g, N), N, g)
         assert p.g_N.any()
         assert_same_bits(solve_direct(p).f_N_coeffs, gelsy(p.A_N, p.g_N))
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize(
+        "operator,frame,sizes",
+        [
+            ("volterra", "legendre", range(BANDED_MIN_N + 1, 641)),
+            ("mult-x:0.75,2", "legendre", range(BANDED_MIN_N + 1, 641)),
+            ("right-shift", "canonical", (BANDED_MIN_N + 1, 200, 640)),
+            ("weighted-right-shift:pow:1,1", "canonical", (BANDED_MIN_N + 1, 640)),
+            ("weighted-right-shift-z:pow1:1,1", "canonical", (BANDED_MIN_N + 1, 640)),
+        ],
+        ids=["volterra", "mult-x", "right-shift", "weighted-right-shift", "weighted-right-shift-z"],
+    )
+    def test_carried_band_keeps_the_scans_bandwidths_and_bits(
+        self, monkeypatch, operator, frame, sizes
+    ):
+        """Leading blocks above BANDED_MIN_N of one N = 640 compression:
+        the band compress carries gives the bandwidths a scan of A_N
+        finds, and the solution the bits of the scanned solve, which
+        solve_direct reaches without a scan.  The canonical shifts are
+        singular, so they still reach gelsy."""
+        base = frame_truncation(operator, frame, 640)
+        bands = []  # the band each solve reads its bandwidths from
+        monkeypatch.setattr(
+            hilbtrunc.core, "_bandwidths", lambda A, band=None: bands.append(band) or _bandwidths(A, band)
+        )
+        for N in sizes:
+            p = base.leading(N)
+            assert p.band is not None
+            assert _bandwidths(p.A_N, p.band) == _bandwidths(p.A_N)
+            x = solve_direct(p).f_N_coeffs
+            assert x.tobytes() == qr_least_squares(p.A_N, p.g_N).tobytes()
+            assert bands[-2:] == [p.band, None]
+            if frame == "canonical":
+                assert x.tobytes() == gelsy(p.A_N, p.g_N).tobytes()
 
     @pytest.mark.parametrize("where", ["matrix", "datum"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
