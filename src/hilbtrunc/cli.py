@@ -108,11 +108,20 @@ SECTIONS = {
 
 
 def _index_tuple(raw: str) -> tuple:
-    """Comma-separated basis indices; each must be >= 1."""
+    """Comma-separated basis indices; each must be >= 1, and no two equal."""
     vals = tuple(int(v) for v in raw.split(",") if v.strip())
     if any(v < 1 for v in vals):
         raise ValueError(f"entries must be >= 1, got {vals}")
+    if len(set(vals)) < len(vals):
+        raise ValueError(f"entries must be distinct, got {vals}")
     return vals
+
+
+def _spec(raw: str) -> str:
+    """An operator, element or law spec, which the CSV header copies."""
+    if not raw.isascii():
+        raise ValueError("specs must be ASCII")
+    return raw
 
 
 def _yes_no(raw: str) -> bool:
@@ -122,8 +131,11 @@ def _yes_no(raw: str) -> bool:
     return value in ("yes", "true", "1")
 
 
-# readers of the keys whose values are not strings
+# readers of the keys whose values are checked, or are not strings
 _READERS = {
+    **dict.fromkeys(
+        ("operator", "datum", "exact_solution", "sigma_law", "g_law", "nu_law"), _spec
+    ),
     "n_list": _index_tuple,
     "tracked": _index_tuple,
     "tol": float,
@@ -590,8 +602,8 @@ def _load_config(source: str) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"{source!r} is neither a preset nor a config file")
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {source!r}: {exc}") from exc
     return ExperimentConfig.from_text(text)
 

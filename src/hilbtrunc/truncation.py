@@ -227,23 +227,12 @@ def solve_gmres(
 ):
     """Residual-minimizing Krylov iterates over K_n(A, g), n = 1..N_max.
 
-    Returns (solutions, basis), the basis being the Krylov frame the
-    coordinates refer to.  Stops at the first step whose residual norm
-    reaches the absolute bound `tol`, or at the last built step once the
-    Krylov space is exhausted.  The solutions are those of the steps in
-    `steps` up to the stop, plus the stopping step; None means every
-    step.
-
-    The Arnoldi recursion runs one step per iterate and ends at the
-    stop; the returned basis (of at most N_max + 1 vectors) builds
-    later vectors from the same recursion when they are asked for.  A
-    progressive Givens QR of the Hessenberg matrix gives every step's
-    residual norm in O(n) per step.  The least-squares problem
-    min ||H y - ||g|| e_1|| is solved (pivoted QR) only at the requested
-    steps, the last built step, and the steps whose Givens residual is
-    within tol + RANK_RTOL ||g||; `f_N_coeffs` and `eps_norm` of each
-    returned solution come from that solve, and the stopping test reads
-    its residual.  A x - g lies in the spanned frame, so the Hessenberg
+    Returns `_krylov_iterates`' (solutions, basis) on K_n(A, g).  Stops
+    at the first step whose residual norm reaches the absolute bound
+    `tol`.  A step solves min ||H y - ||g|| e_1|| by pivoted QR where
+    its Givens residual is within tol + RANK_RTOL ||g||; `f_N_coeffs`
+    and `eps_norm` come from that solve, and the stopping test reads its
+    residual.  A x - g lies in the spanned frame, so the Hessenberg
     least-squares value is the ambient residual norm while the Arnoldi
     vectors stay orthonormal.  Modified Gram-Schmidt loses that once
     Ritz values converge (max |U^H U - I| = 0.67 at N = 60 on
@@ -253,31 +242,48 @@ def solve_gmres(
     gnorm = g.norm()
     if gnorm == 0:
         raise ValueError("gmres needs a nonzero datum")
-    basis = KrylovBasis(op, g, N_max + 1)
+
+    def least_squares(Hn, rhs):
+        y = qr_least_squares(Hn, rhs)
+        res = float(np.linalg.norm(Hn @ y - rhs))
+        return y, res, res <= tol
+
+    near = tol + RANK_RTOL * gnorm
+    return _krylov_iterates(
+        op, g, gnorm, N_max, steps, "gmres", lambda qr: qr.residual <= near, least_squares
+    )
+
+
+def _krylov_iterates(op, seed, beta, N_max, steps, solver, near, solve):
+    """The Krylov sweep of both iterative solvers, on K_n(A, seed).
+
+    Returns (solutions, basis), the basis being the Krylov frame the
+    coordinates refer to.  The Arnoldi recursion runs one step per
+    iterate and ends at the stop; the basis (of at most N_max + 1
+    vectors) builds later vectors from the same recursion when they are
+    asked for.  A progressive Givens QR of the Hessenberg matrix gives
+    each step's residuals in O(n) per step.  `solve(H[:n+1, :n],
+    beta e_1)` returns (y, eps_norm, stop), beta = ||seed||; it runs
+    only at the steps in `steps` (None means every step), the last
+    built step (the Krylov space exhausted, or N_max), and the steps
+    where `near(rotations)` holds.  The solutions are those of the
+    steps in `steps` up to the stop, plus the stopping or last step.
+    """
+    basis = KrylovBasis(op, seed, N_max + 1)
     H = basis.H
     wanted = range(1, N_max + 1) if steps is None else set(steps)
-    rotations = _GivensQR(gnorm, N_max)
-    near_bound = tol + RANK_RTOL * gnorm
+    rotations = _GivensQR(beta, N_max)
     sols = []
     for n in range(1, N_max + 1):
         last = not basis.step()
-        near = rotations.push(H) <= near_bound
-        if not (n in wanted or last or near):
+        rotations.push(H)
+        if not (n in wanted or last or near(rotations)):
             continue
         rhs = np.zeros(n + 1, dtype=complex)
-        rhs[0] = gnorm
-        y = qr_least_squares(H[: n + 1, :n], rhs)
-        res = float(np.linalg.norm(H[: n + 1, :n] @ y - rhs))
-        stop = res <= tol
+        rhs[0] = beta
+        y, eps, stop = solve(H[: n + 1, :n], rhs)
         if n in wanted or last or stop:
-            sols.append(
-                ApproxSolution(
-                    f_N_coeffs=y,
-                    eps_norm=res,
-                    solver="gmres",
-                    iterations=n,
-                )
-            )
+            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=eps, solver=solver, iterations=n))
         if stop or last:
             break
     return sols, basis
@@ -354,28 +360,21 @@ def solve_cg(
 ):
     """Conjugate-gradient iterates: the Galerkin solves on the Arnoldi basis.
 
-    Requires a self-adjoint positive operator.  With r_0 = g - A f0 and
-    the Krylov family K of r_0 (at most N_max + 1 vectors), iterate n
-    solves T_n y = ||r_0|| e_1 for the leading n x n block T_n of the
-    basis's Hessenberg matrix and sets element = f0 + sum_k y_k u_k;
-    this minimizes Phi[h] = Re<h, Ah> - 2 Re<h, g> over f0 + K_n.
-    Returns (solutions, basis), the coordinates referring to the basis;
-    as in solve_gmres, the recursion runs one step per iterate up to the
-    stop, and the basis builds later vectors when they are asked for.
-    A T_n that is not positive definite raises CapabilityError.  Stops
-    once the residual norm |H[n, n-1] y_n| reaches 1e-15 max(||g||, 1)
-    or the basis is exhausted; a vanishing r_0 gives one iteration-0
-    solution f0 and no basis.  The solutions are those of the steps in
-    `steps` up to the stop, plus the last one; None means every step.
+    Requires a self-adjoint positive operator.  With r_0 = g - A f0,
+    `_krylov_iterates` sweeps K_n(A, r_0), and iterate n solves
+    T_n y = ||r_0|| e_1 for the leading n x n block T_n of the
+    Hessenberg matrix and sets element = f0 + sum_k y_k u_k; this
+    minimizes Phi[h] = Re<h, Ah> - 2 Re<h, g> over f0 + K_n.  A T_n
+    that is not positive definite raises CapabilityError.  Stops once
+    the residual norm |H[n, n-1] y_n| reaches 1e-15 max(||g||, 1); a
+    vanishing r_0 gives one iteration-0 solution f0 and no basis.
 
-    The Givens QR of GMRES gives each step's Galerkin residual in O(n);
-    T_n y = ||r_0|| e_1 is solved densely only at the returned steps,
-    the last built step, and where that residual is within
-    CG_FLOOR_MARGIN of the floor, and the stop reads the solved y.  The
-    Hermitian parts of the T_n are the leading blocks of the last one,
-    so one Cholesky factorization checks them all; only when it fails
-    are the blocks scanned for the first T_n that is not positive
-    definite.
+    T_n is solved densely where the Givens value of that residual (the
+    GMRES residual over the rotation's cosine) is within CG_FLOOR_MARGIN
+    of the floor, and the stop reads the solved y.  The Hermitian parts
+    of the T_n are the leading blocks of the last one, so one Cholesky
+    factorization checks them all; only when it fails are the blocks
+    scanned for the first T_n that is not positive definite.
     """
     if not (op.self_adjoint and op.positive):
         raise CapabilityError(
@@ -395,40 +394,23 @@ def solve_cg(
             element=x0,
         )
         return [sol], None
-    basis = KrylovBasis(op, r0, N_max + 1)
-    H = basis.H
-    wanted = range(1, N_max + 1) if steps is None else set(steps)
-    rotations = _GivensQR(rnorm0, N_max)
-    near_bound = CG_FLOOR_MARGIN * floor
-    sols = []
-    for n in range(1, N_max + 1):
-        last = not basis.step()
-        rotations.push(H)
-        near = rotations.galerkin_residual <= near_bound
-        if not (n in wanted or last or near):
-            continue
-        T = H[:n, :n]
-        rhs = np.zeros(n, dtype=complex)
-        rhs[0] = rnorm0
+
+    def galerkin(Hn, rhs):
+        T, b = Hn[:-1], rhs[:-1]
         try:
-            y = np.linalg.solve(T, rhs)
+            y = np.linalg.solve(T, b)
         except np.linalg.LinAlgError:
-            _check_positive(op, H, n)  # a singular T_n is not positive definite
+            _check_positive(op, Hn, len(b))  # a singular T_n is not positive definite
             raise
-        stop = last or abs(H[n, n - 1] * y[-1]) <= floor
-        if n in wanted or stop:
-            sols.append(
-                ApproxSolution(
-                    f_N_coeffs=y,
-                    eps_norm=float(np.linalg.norm(T @ y - rhs)),
-                    solver="cg",
-                    iterations=n,
-                    element=x0 + lincomb(y, basis.elements(n)),
-                )
-            )
-        if stop:
-            break
-    _check_positive(op, H, basis.done)
+        return y, float(np.linalg.norm(T @ y - b)), abs(Hn[-1, -1] * y[-1]) <= floor
+
+    near = CG_FLOOR_MARGIN * floor
+    sols, basis = _krylov_iterates(
+        op, r0, rnorm0, N_max, steps, "cg", lambda qr: qr.galerkin_residual <= near, galerkin
+    )
+    _check_positive(op, basis.H, basis.done)
+    for sol in sols:
+        sol.element = x0 + lincomb(sol.f_N_coeffs, basis.elements(sol.iterations))
     return sols, basis
 
 

@@ -118,6 +118,33 @@ class TestRun:
         p2 = run(cfg, out=str(tmp_path / "b.csv"))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize(
+        "operator",
+        ["right-shift", "weighted-right-shift:pow:1,1", "weighted-right-shift-z:pow1:1,1"],
+    )
+    def test_shift_sweep_bytes_independent_of_blas_threads(self, tmp_path, operator):
+        """The shifts' truncations are singular and go to gelsy; their
+        canonical sweeps, in fresh processes with one and two BLAS
+        threads, write the same bytes."""
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(
+            f"[problem]\noperator = {operator}\ndatum = basis-e:1\n"
+            "[truncation]\ntrial = canonical\ntest = canonical\nn_list = 200,320,640\n"
+            "[output]\ncsv = s.csv\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"s{threads}.csv"
+            proc = _fresh_python(
+                "-m", "hilbtrunc.cli", "run", str(cfg), "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0].decode().splitlines()[-1].startswith("640,")
+        assert outputs[0] == outputs[1]
+
     def test_gmres_override_reaches_tolerance(self, tmp_path):
         from dataclasses import replace
 
@@ -236,6 +263,15 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "FILE"]
         assert not any((tmp_path / "DIR").iterdir())
 
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        """Configs are read as UTF-8: a Latin-1 byte is one config error
+        line, not a traceback."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes("; caf\u00e9\n".encode("latin-1"))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read") and err.count("\n") == 1
+
     def test_capability_mismatch_exit_three(self, tmp_path):
         cfg = tmp_path / "cg-volterra.ini"
         cfg.write_text(
@@ -309,15 +345,37 @@ class TestConfigValueErrors:
             # a yes/no key that is neither
             "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
             "[output]\ncsv = out.csv\ngnuplot = maybe\n",
+            # specs with Unicode digits: float and int read them, but the
+            # CSV header they are copied into is ASCII
+            "[problem]\noperator = volterra\ndatum = poly:\uff10,\uff10,\uff10.\uff15\n"
+            "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
+            "[problem]\noperator = mult-x:\uff11,2\ndatum = poly:0,0,1\n"
+            "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
+            "[noise]\nsigma_law = pow:\uff11,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+            "[output]\ncsv = out.csv\n",
         ],
-        ids=["misspelled-key", "problem-and-noise", "gnuplot-maybe"],
+        ids=[
+            "misspelled-key", "problem-and-noise", "gnuplot-maybe",
+            "non-ascii-datum", "non-ascii-operator", "non-ascii-law",
+        ],
     )
     def test_input_that_would_be_dropped_exit_two(self, tmp_path, capsys, text):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
+
+    def test_non_ascii_comment_and_csv_path_run(self, tmp_path):
+        cfg, out = tmp_path / "c.ini", tmp_path / "r\u00e9sum\u00e9.csv"
+        cfg.write_text(
+            "; caf\u00e9\n[problem]\noperator = volterra ; \u222b\ndatum = poly:0,0,0.5\n"
+            f"[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = {out}\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(cfg)]) == 0
+        assert out.read_text().startswith("# operator = volterra\n")
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_tol_not_a_non_negative_number_exit_two(self, tmp_path, tol):
@@ -470,6 +528,7 @@ class TestConfigValueErrors:
             ("n_list", "-1,2"),
             ("tracked", "0,1"),
             ("tracked", "x"),
+            ("tracked", "1,1"),
             ("solver", "lsqr"),
         ],
     )
@@ -659,9 +718,10 @@ class TestCliMatrix:
         assert column(header, rows, "N", int) == [2, 4]
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter that imports this checkout's hilbtrunc."""
-    env = dict(os.environ)
+def _fresh_python(*args, **env_vars):
+    """Run a fresh interpreter that imports this checkout's hilbtrunc,
+    with `env_vars` added to its environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(hilbtrunc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
