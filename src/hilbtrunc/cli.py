@@ -273,49 +273,41 @@ def list_presets() -> str:
 # element and basis construction
 # ---------------------------------------------------------------------------
 
-def _parsed(kind: str, parse, text: str):
-    """`parse(text)`, with its ValueError as a ConfigError naming the spec."""
+def _parsed(kind: str, parse, text: str, *args):
+    """`parse(text, *args)`, with its ValueError as a ConfigError naming the spec."""
     try:
-        return parse(text)
+        return parse(text, *args)
     except ValueError as exc:
         raise ConfigError(f"bad {kind} spec {text!r}: {exc}") from exc
 
 
 def parse_element(text: str, op: BoundedOperator):
-    """Build a datum/solution element from its config string."""
+    """Build a datum/solution element in `op`'s domain from its config string."""
     head, _, rest = text.partition(":")
     seq_space = op.space[0] == "seq"
     if head == "zero":
         return Seq.zero(op.space[1]) if seq_space else Func.zero(op.space[1])
+    if head in ("poly", "func") and seq_space:
+        raise ValueError(f"{head} needs a function-space operator")
     if head == "poly":
-        if seq_space:
-            raise ConfigError("poly datum needs a function-space operator")
-        try:
-            coeffs = [float(v) for v in rest.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad poly spec {text!r}") from exc
+        coeffs = [float(v) for v in rest.split(",")]
         if not all(map(math.isfinite, coeffs)):
-            raise ConfigError(f"bad poly spec {text!r}: coefficients must be finite")
+            raise ValueError("coefficients must be finite")
         f = Func.from_poly(op.space[1], coeffs)
         with np.errstate(over="ignore"):  # checked below
             norm = f.norm()
         if not math.isfinite(norm):
-            raise ConfigError(f"bad poly spec {text!r}: its norm is not finite")
+            raise ValueError("its norm is not finite")
         return f
     if head == "basis-e":
         if not seq_space:
-            raise ConfigError("basis-e datum needs a sequence-space operator")
-        try:
-            return Seq.basis_vector(int(rest), op.space[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad basis-e spec {text!r}: {exc}") from exc
+            raise ValueError("basis-e needs a sequence-space operator")
+        return Seq.basis_vector(int(rest), op.space[1])
     if head == "func":
-        if seq_space:
-            raise ConfigError("func datum needs a function-space operator")
         if rest == "one":
             return Func.from_poly(op.space[1], [1.0])
-        raise ConfigError(f"unknown func preset {rest!r}")
-    raise ConfigError(f"unknown datum spec {text!r}")
+        raise ValueError(f"unknown func preset {rest!r}")
+    raise ValueError(f"unknown element kind {head!r}")
 
 
 # the frames: name -> (the space kind they live in, factory of its domain)
@@ -381,12 +373,11 @@ def _gnuplot_script(csv_name: str, columns) -> str:
 def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
     """Run a truncation sweep; returns (meta, records)."""
     op = _parsed("operator", parse_operator, pc.operator)
-    datum = parse_element(pc.datum, op)
-    f_exact = (
-        parse_element(pc.exact_solution, op) if pc.exact_solution is not None else None
-    )
+    datum = _parsed("datum", parse_element, pc.datum, op)
+    f_exact = None
+    if pc.exact_solution is not None:
+        f_exact = _parsed("exact_solution", parse_element, pc.exact_solution, op)
     n_max = max(tc.n_list)
-    records = []
     meta = {
         "operator": pc.operator,
         "datum": pc.datum,
@@ -404,32 +395,26 @@ def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
                 raise ConfigError("svd bases are resolved as a trial/test pair")
             trial, test = svd_bases(op)
         else:
-            trial = make_basis(tc.trial, op, datum, n_max)
-            test = (
-                trial
-                if tc.test == tc.trial
-                else make_basis(tc.test, op, datum, n_max, trial=trial)
-            )
-        meta["trial"], meta["test"] = trial.label, test.label
+            trial = test = make_basis(tc.trial, op, datum, n_max)
+            if tc.test != tc.trial:
+                test = make_basis(tc.test, op, datum, n_max, trial=trial)
         cap = min(n_max, trial.size or n_max, test.size or n_max)
         base = compress(op, trial, test, cap, datum)
-        for N in tc.n_list:
-            if N > cap:
-                break
-            sol = solve_direct(base.leading(N), family=tc.solution_family)
-            rec = evaluate(op, datum, sol, trial, test, f_exact=f_exact, tracked=tracked)
-            records.append(rec)
-        return meta, records
-    if tc.solver == "gmres":
-        sols, kb = solve_gmres(op, datum, n_max, tol=tc.tol, steps=tc.n_list)
+        # lazy: each N is solved as its record is evaluated below
+        family = tc.solution_family
+        sols = (solve_direct(base.leading(N), family=family) for N in tc.n_list if N <= cap)
     else:
-        sols, kb = solve_cg(op, datum, n_max, steps=tc.n_list)
-        if kb is None:  # the zero iterate already meets the stopping floor
-            raise ConfigError("cg needs a datum above roundoff (||g|| > 1e-15)")
-    meta["trial"] = meta["test"] = kb.label
-    for sol in sols:
-        records.append(evaluate(op, datum, sol, kb, kb, f_exact=f_exact, tracked=tracked))
-    return meta, records
+        if tc.solver == "gmres":
+            sols, trial = solve_gmres(op, datum, n_max, tol=tc.tol, steps=tc.n_list)
+        else:
+            sols, trial = solve_cg(op, datum, n_max, steps=tc.n_list)
+            if trial is None:  # the zero iterate already meets the stopping floor
+                raise ConfigError("cg needs a datum above roundoff (||g|| > 1e-15)")
+        test = trial  # the Krylov basis of the datum
+    meta["trial"], meta["test"] = trial.label, test.label
+    return meta, [
+        evaluate(op, datum, sol, trial, test, f_exact=f_exact, tracked=tracked) for sol in sols
+    ]
 
 
 def _csv_text(meta: dict, columns, rows) -> str:
@@ -457,11 +442,8 @@ def _truncation_csv(cfg: ExperimentConfig):
     for rec in records:
         cells = [str(rec.N)]
         cells += map(_fmt, (rec.err_norm, rec.res_norm, rec.sol_norm, rec.eps_norm))
-        comps = {n: (e, r) for n, e, r in rec.tracked_components}
-        for n in tracked:
-            e, r = comps.get(n, (None, None))
-            cells.append(_fmt(abs(e)) if e is not None else "")
-            cells.append(_fmt(abs(r)) if r is not None else "")
+        for _, *pair in rec.tracked_components:
+            cells += ("" if c is None else _fmt(abs(c)) for c in pair)
         rows.append(cells)
     return meta, columns, rows
 

@@ -23,6 +23,7 @@ from .elements import inner, lincomb
 from .operators import (
     BoundedOperator,
     SequenceLaw,
+    check_bounded,
     geometric_law,
     power_law,
     shifted_power_law,
@@ -323,6 +324,7 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
     """Evaluate the exact error/residual decomposition up to N_max."""
     if N_max < 1:
         raise ValueError(f"need N_max >= 1, got {N_max}")
+    check_bounded(model.sigma_law, "sigma law")
     n = np.arange(1, N_max + 1)
     sigma = np.asarray(model.sigma_law(n), dtype=float)
     if not np.all(sigma > 0):
@@ -332,12 +334,13 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
     nu_sq_total = model.noise_norm_sq()
     if not math.isfinite(nu_sq_total):
         raise ValueError(f"noise law {model.nu_law.name} is not square-summable")
-    nu_sq = np.abs(np.asarray(model.nu_law(n))) ** 2
-    g_sq = np.abs(np.asarray(model.g_law(n))) ** 2
-    alpha = np.concatenate([[0.0], np.cumsum(nu_sq / sigma ** 2)])
     Ns = np.arange(0, N_max + 1)
-    beta = law_tail_sq(model.solution_law(), Ns)
     g_tail = law_tail_sq(model.g_law, Ns)
+    if not math.isfinite(g_tail[0]):
+        raise ValueError(f"datum law {model.g_law.name} is not square-summable")
+    nu_sq = np.abs(np.asarray(model.nu_law(n))) ** 2
+    alpha = np.concatenate([[0.0], np.cumsum(nu_sq / sigma ** 2)])
+    beta = law_tail_sq(model.solution_law(), Ns)
     res_sq = np.concatenate([[0.0], np.cumsum(nu_sq)]) + g_tail
     err_sq = alpha + beta
     return NoiseSeries(

@@ -266,11 +266,7 @@ class Func:
         for m, cm in enumerate(monomial_coeffs):
             if cm == 0:
                 continue
-            vec = monomial_leg(interval, m)
-            if len(vec) > len(out):
-                grown = np.zeros(len(vec), dtype=complex)
-                grown[: len(out)] = out
-                out = grown
+            vec = monomial_leg(interval, m)  # m + 1 <= len(out) entries
             out[: len(vec)] += cm * vec
         return Func(interval, out, {})
 

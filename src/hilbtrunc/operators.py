@@ -164,6 +164,16 @@ def _probe(law: SequenceLaw, start: int, role: str = "law") -> np.ndarray:
     return vals
 
 
+def check_bounded(law: SequenceLaw, role: str = "law"):
+    """ValueError if a closed-form law grows without bound: c n^(-p) and
+    c (n+1)^(-p) for p < 0, c q^n for |q| > 1.  Its values may stay
+    finite on any window, so only the kind and parameters can tell."""
+    c, rate = (law.params + (0.0, 0.0))[:2]
+    grows = rate < 0 if law.kind in ("pow", "pow1") else law.kind == "geom" and abs(rate) > 1
+    if c != 0 and grows:
+        raise ValueError(f"{role} {law.name} is unbounded")
+
+
 def _validate_weight_law(law: SequenceLaw, start: int):
     vals = np.asarray(_probe(law, start, "weight law"), dtype=float)
     if not np.all(vals >= 0) or vals[0] <= 0:
@@ -216,11 +226,7 @@ class MultiplicationSeq(_WeightedShift):
 
     def __init__(self, law: SequenceLaw):
         probe = _probe(law, 1)
-        # c n^(-p) and c (n+1)^(-p) grow for p < 0, c q^n for |q| > 1
-        c, rate = (law.params + (0.0, 0.0))[:2]
-        grows = rate < 0 if law.kind in ("pow", "pow1") else law.kind == "geom" and abs(rate) > 1
-        if c != 0 and grows:
-            raise ValueError(f"law {law.name} is unbounded")
+        check_bounded(law)
         is_real = bool(np.all(np.isreal(probe)))
         peak = float(np.max(np.abs(probe)))
         super().__init__(

@@ -329,43 +329,108 @@ class TestMain:
             assert exc.value.code == 2
 
 
+def _truncation_ini(
+    operator, datum, trial="legendre", test="legendre", solver="qr", n_list="1,2,4",
+    problem="", truncation="",
+):
+    """A truncation config; `problem` and `truncation` are extra lines for those sections."""
+    return (
+        f"[problem]\noperator = {operator}\ndatum = {datum}\n{problem}"
+        f"[truncation]\ntrial = {trial}\ntest = {test}\nn_list = {n_list}\n"
+        f"solver = {solver}\n{truncation}[output]\ncsv = out.csv\n"
+    )
+
+
+NOISE_INI = "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+
+
 class TestConfigValueErrors:
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
             # a misspelled key
-            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
-            "[truncation]\ntrial = legendre\nn_list = 2,4\nsolvr = gmres\n"
-            "[output]\ncsv = out.csv\n",
+            ("[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+             "[truncation]\ntrial = legendre\nn_list = 2,4\nsolvr = gmres\n"
+             "[output]\ncsv = out.csv\n",
+             "unknown keys in [truncation]: ['solvr']"),
             # both a truncation problem and a noise study
-            "[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
-            "[truncation]\ntrial = legendre\nn_list = 2,4\n"
-            "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
-            "[output]\ncsv = out.csv\n",
+            ("[problem]\noperator = volterra\ndatum = poly:0,0,0.5\n"
+             "[truncation]\ntrial = legendre\nn_list = 2,4\n"
+             + NOISE_INI + "[output]\ncsv = out.csv\n",
+             "config needs exactly one of [problem] and [noise]"),
             # a yes/no key that is neither
-            "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
-            "[output]\ncsv = out.csv\ngnuplot = maybe\n",
+            (NOISE_INI + "[output]\ncsv = out.csv\ngnuplot = maybe\n",
+             "bad value for output.gnuplot: 'maybe' (expected yes or no)"),
             # specs with Unicode digits: float and int read them, but the
             # CSV header they are copied into is ASCII
-            "[problem]\noperator = volterra\ndatum = poly:\uff10,\uff10,\uff10.\uff15\n"
-            "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
-            "[problem]\noperator = mult-x:\uff11,2\ndatum = poly:0,0,1\n"
-            "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
-            "[noise]\nsigma_law = pow:\uff11,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
-            "[output]\ncsv = out.csv\n",
+            ("[problem]\noperator = volterra\ndatum = poly:\uff10,\uff10,\uff10.\uff15\n"
+             "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
+             "bad value for problem.datum: 'poly:\uff10,\uff10,\uff10.\uff15' (specs must be ASCII)"),
+            ("[problem]\noperator = mult-x:\uff11,2\ndatum = poly:0,0,1\n"
+             "[truncation]\ntrial = legendre\nn_list = 2,4\n[output]\ncsv = out.csv\n",
+             "bad value for problem.operator: 'mult-x:\uff11,2' (specs must be ASCII)"),
+            ("[noise]\nsigma_law = pow:\uff11,1\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
+             "[output]\ncsv = out.csv\n",
+             "bad value for noise.sigma_law: 'pow:\uff11,1' (specs must be ASCII)"),
+            # datum and solution specs: the message names the key and the spec
+            (_truncation_ini("volterra", "poly:x"),
+             "bad datum spec 'poly:x': could not convert string to float: 'x'"),
+            (_truncation_ini("volterra", "poly:"),
+             "bad datum spec 'poly:': could not convert string to float: ''"),
+            (_truncation_ini("volterra", "foo:1"), "bad datum spec 'foo:1': unknown element kind 'foo'"),
+            (_truncation_ini("right-shift", "poly:1", "canonical", "canonical"),
+             "bad datum spec 'poly:1': poly needs a function-space operator"),
+            (_truncation_ini("volterra", "basis-e:1"),
+             "bad datum spec 'basis-e:1': basis-e needs a sequence-space operator"),
+            (_truncation_ini("right-shift", "basis-e:x", "canonical", "canonical"),
+             "bad datum spec 'basis-e:x': invalid literal for int() with base 10: 'x'"),
+            (_truncation_ini("right-shift", "basis-e:0", "canonical", "canonical"),
+             "bad datum spec 'basis-e:0': nat-indexed sequences start at index >= 1"),
+            (_truncation_ini("volterra", "func:two"), "bad datum spec 'func:two': unknown func preset 'two'"),
+            (_truncation_ini("volterra", "poly:1", problem="exact_solution = poly:x\n"),
+             "bad exact_solution spec 'poly:x': could not convert string to float: 'x'"),
+            # bases, solution families and sections
+            (_truncation_ini("volterra", "poly:1", "nope", "nope"), "unknown basis 'nope'"),
+            (_truncation_ini("volterra", "poly:1", truncation="solution_family = nope\n"),
+             "unknown solution_family 'nope'"),
+            (_truncation_ini("volterra", "poly:1", "adversarial", "adversarial"),
+             "adversarial works as a test basis only"),
+            (_truncation_ini("volterra", "poly:1", "svd", "legendre"),
+             "svd bases are resolved as a trial/test pair"),
+            (NOISE_INI + "[truncation]\ntrial = legendre\nn_list = 2\n[output]\ncsv = out.csv\n",
+             "a [truncation] section goes with a [problem] section"),
+            (NOISE_INI + "nu_law = pow:1,1.5\n[output]\ncsv = out.csv\n",
+             "config parse failure: While reading from '<string>' [line  5]: "
+             "option 'nu_law' in section 'noise' already exists"),
         ],
         ids=[
             "misspelled-key", "problem-and-noise", "gnuplot-maybe",
             "non-ascii-datum", "non-ascii-operator", "non-ascii-law",
+            "datum-not-a-number", "datum-empty-poly", "datum-unknown-kind",
+            "poly-on-sequences", "basis-e-on-functions", "basis-e-not-an-index",
+            "basis-e-zero", "func-unknown-preset", "exact-solution-not-a-number",
+            "unknown-trial", "unknown-solution-family", "adversarial-trial",
+            "svd-with-legendre", "truncation-in-noise", "repeated-key",
         ],
     )
-    def test_input_that_would_be_dropped_exit_two(self, tmp_path, capsys, text):
+    def test_input_that_would_be_dropped_exit_two(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "c.ini"
         cfg.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
+
+    def test_func_one_datum_runs(self, tmp_path):
+        """func:one is the constant function, poly:1."""
+        rows = []
+        for datum in ("func:one", "poly:1"):
+            cfg, out = tmp_path / "c.ini", tmp_path / f"{datum[:4]}.csv"
+            cfg.write_text(_truncation_ini("volterra", datum))
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            meta, _, body = read_csv(out)
+            assert meta["datum"] == datum
+            rows.append(body)
+        assert rows[0] == rows[1] and len(rows[0]) == 3
 
     def test_non_ascii_comment_and_csv_path_run(self, tmp_path):
         cfg, out = tmp_path / "c.ini", tmp_path / "r\u00e9sum\u00e9.csv"
@@ -512,13 +577,21 @@ class TestConfigValueErrors:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_non_summable_noise_exit_two(self, tmp_path):
-        cfg = tmp_path / "n.ini"
-        cfg.write_text(
-            "[noise]\nsigma_law = pow:1,1\ng_law = pow:1,2\nnu_law = pow:1,0.4\n"
-            "n_max = 50\n[output]\ncsv = out.csv\n"
-        )
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    def test_non_summable_noise_exit_two(self, tmp_path, capsys):
+        """A noise or datum law that is not square-summable, with the
+        default n_max too, where g = 2^n overflows."""
+        cases = [
+            ("g_law = pow:1,2\nnu_law = pow:1,0.4\nn_max = 50\n", "noise law pow:1,0.4"),
+            ("g_law = geom:1,2\nnu_law = pow:1,1.5\n", "datum law geom:1,2"),
+            ("g_law = const:1\nnu_law = pow:1,1.5\n", "datum law const:1"),
+        ]
+        for laws, law in cases:
+            cfg = tmp_path / "n.ini"
+            cfg.write_text(f"[noise]\nsigma_law = pow:1,1\n{laws}[output]\ncsv = out.csv\n")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: {law} is not square-summable\n"
+            assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "key,value",
@@ -548,27 +621,38 @@ class TestConfigValueErrors:
     @pytest.mark.parametrize(
         "override",
         [
-            ["--n-list", "a,b"],
-            ["--n-list", "0,2"],
-            ["--n-list", "4,2"],
-            ["--solver", "lsqr"],
-            ["--tol", "abc"],
+            ["volterra-g1", "--n-list", "a,b"],
+            ["volterra-g1", "--n-list", "0,2"],
+            ["volterra-g1", "--n-list", "4,2"],
+            ["volterra-g1", "--solver", "lsqr"],
+            ["volterra-g1", "--tol", "abc"],
+            ["noise-fig1", "--n-list", "2,4"],  # a noise study has no truncation
         ],
     )
-    def test_bad_override_exit_two(self, tmp_path, override):
-        argv = ["run", "volterra-g1", *override, "--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 2
+    def test_bad_override_exit_two(self, tmp_path, capsys, override):
+        assert main(["run", *override, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("sigma_law", ["const:0", "pow:0,1", "geom:1,-0.5"])
-    def test_non_positive_sigma_exit_two(self, tmp_path, sigma_law):
+    @pytest.mark.parametrize(
+        "sigma_law", ["const:0", "pow:0,1", "geom:1,-0.5", "geom:1,2", "pow:1,-1"]
+    )
+    def test_non_positive_sigma_exit_two(self, tmp_path, capsys, sigma_law):
+        """Singular values are positive, and those of a bounded operator
+        do not grow: geom:1,2 and pow:1,-1 are rejected before 2^n
+        overflows or n^2 makes a solvable-looking series."""
         cfg = tmp_path / "n.ini"
         cfg.write_text(
             f"[noise]\nsigma_law = {sigma_law}\ng_law = pow:1,2\nnu_law = pow:1,1.5\n"
-            "n_max = 50\n[output]\ncsv = out.csv\n"
+            "[output]\ncsv = out.csv\n"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sigma law {sigma_law} ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", ["sigma_law", "g_law", "nu_law"])
     def test_bad_law_spec_exit_two(self, tmp_path, capsys, key):
@@ -630,14 +714,6 @@ MATRIX_OPERATORS = {
     "mult-seq:pow:1,1": "basis-e:2",  # an eigenvector: the Krylov space is 1-d
 }
 MATRIX_BASES = ("legendre", "fourier", "krylov", "svd", "canonical", "adversarial")
-
-
-def _truncation_ini(operator, datum, trial, test, solver, n_list="1,2,4"):
-    return (
-        f"[problem]\noperator = {operator}\ndatum = {datum}\n"
-        f"[truncation]\ntrial = {trial}\ntest = {test}\nn_list = {n_list}\n"
-        f"solver = {solver}\n[output]\ncsv = out.csv\n"
-    )
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from hilbtrunc.elements import Func, Seq, inner
 from hilbtrunc.operators import (
     MultiplicationX,
     RightShift,
+    SequenceLaw,
     Volterra,
     WeightedRightShift,
     constant_law,
@@ -192,6 +193,32 @@ class TestLawTails:
         assert law_tail_sq(power_law(1.0, 0.4), 0) == math.inf
         assert law_tail_sq(constant_law(2.0), 0) == math.inf
 
+    @pytest.mark.parametrize("N", [0, 10, 1000])
+    def test_slow_generic_tail_is_continued_geometrically(self, N):
+        """n^-1.1 halves too slowly for 64 doubling intervals: the rest is
+        the geometric continuation of the last two, exact for a power law."""
+        law = SequenceLaw("slow", lambda n: np.asarray(n, dtype=float) ** -0.55)
+        expect = float(scipy.special.zeta(1.1, N + 1))
+        assert abs(law_tail_sq(law, N) - expect) <= 1e-12 * expect
+
+    def test_generic_tail_growing_past_the_intervals_is_infinite(self):
+        law = SequenceLaw("slower", lambda n: np.asarray(n, dtype=float) ** -0.45)
+        assert law_tail_sq(law, 0) == math.inf
+
+    @staticmethod
+    def _slow_law_then(far):
+        """n^-0.55 up to n = 1e7 and `far` past it, beyond the terms summed directly."""
+        return SequenceLaw(
+            "far", lambda n: np.where(np.asarray(n) > 1e7, far, np.asarray(n, dtype=float) ** -0.55)
+        )
+
+    def test_generic_law_nan_far_out_raises(self):
+        with pytest.raises(ValueError, match="not a number at some n > 131072"):
+            law_tail_sq(self._slow_law_then(np.nan), 0)
+
+    def test_generic_law_infinite_far_out_is_infinite(self):
+        assert law_tail_sq(self._slow_law_then(np.inf), 0) == math.inf
+
     def test_ratio_law_of_powers(self):
         r = ratio_law(power_law(1.0, 2.0), power_law(1.0, 1.0))
         assert r.name == "pow:1,1"
@@ -311,6 +338,23 @@ class TestNoiseSeries:
         )
         with pytest.raises(ValueError):
             noise_series(bad, 50)
+
+    @pytest.mark.parametrize(
+        "sigma,g,message",
+        [
+            (power_law(1.0, 1.0), geometric_law(1.0, 2.0), "datum law geom:1,2 is not square-summable"),
+            (power_law(1.0, 1.0), constant_law(1.0), "datum law const:1 is not square-summable"),
+            (geometric_law(1.0, 2.0), power_law(1.0, 2.0), "sigma law geom:1,2 is unbounded"),
+            (power_law(1.0, -1.0), power_law(1.0, 2.0), "sigma law pow:1,-1 is unbounded"),
+        ],
+        ids=["g-geom-growing", "g-const", "sigma-geom-growing", "sigma-pow-growing"],
+    )
+    def test_datum_or_sigma_outside_bounded_l2_rejected(self, sigma, g, message):
+        """Rejected from the law's kind and parameters, before it is
+        evaluated where it overflows; warnings are errors here."""
+        model = NoiseModel(sigma_law=sigma, g_law=g, nu_law=power_law(1.0, 1.5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            noise_series(model, 1000)
 
 
 class TestNoisyPipeline:
