@@ -273,12 +273,12 @@ def list_presets() -> str:
 # element and basis construction
 # ---------------------------------------------------------------------------
 
-def _parsed(kind: str, parse, text: str, *args):
-    """`parse(text, *args)`, with its ValueError as a ConfigError naming the spec."""
+def _parsed(key: str, parse, text: str, *args):
+    """`parse(text, *args)`, with its ValueError as a ConfigError naming the key and spec."""
     try:
         return parse(text, *args)
     except ValueError as exc:
-        raise ConfigError(f"bad {kind} spec {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {key} spec {text!r}: {exc}") from exc
 
 
 def parse_element(text: str, op: BoundedOperator):
@@ -286,6 +286,8 @@ def parse_element(text: str, op: BoundedOperator):
     head, _, rest = text.partition(":")
     seq_space = op.space[0] == "seq"
     if head == "zero":
+        if text != head:
+            raise ValueError("zero takes no argument")
         return Seq.zero(op.space[1]) if seq_space else Func.zero(op.space[1])
     if head in ("poly", "func") and seq_space:
         raise ValueError(f"{head} needs a function-space operator")
@@ -328,8 +330,6 @@ def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
         return factory(op.space[1])
     if name == "krylov":
         return krylov_basis(op, datum, n_max)
-    if name == "svd":
-        raise ConfigError("use trial = svd AND test = svd (resolved as a pair)")
     if name == "adversarial":
         if trial is None:
             raise ConfigError("adversarial works as a test basis only")
@@ -399,6 +399,9 @@ def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
             if tc.test != tc.trial:
                 test = make_basis(tc.test, op, datum, n_max, trial=trial)
         cap = min(n_max, trial.size or n_max, test.size or n_max)
+        if cap < tc.n_list[0]:
+            short = min((trial, test), key=lambda b: b.size or n_max)
+            raise CapabilityError(f"{short.label} has size {cap}, below the smallest N = {tc.n_list[0]}")
         base = compress(op, trial, test, cap, datum)
         # lazy: each N is solved as its record is evaluated below
         family = tc.solution_family
@@ -451,8 +454,8 @@ def _truncation_csv(cfg: ExperimentConfig):
 def _noise_csv(cfg: ExperimentConfig):
     """(meta, columns, rows) of a noise series' CSV."""
     nc = cfg.noise
-    laws = (nc.sigma_law, nc.g_law, nc.nu_law)
-    model = NoiseModel(*(_parsed("law", parse_law, law) for law in laws))
+    keys = ("sigma_law", "g_law", "nu_law")
+    model = NoiseModel(*(_parsed(key, parse_law, getattr(nc, key)) for key in keys))
     try:
         series = noise_series(model, nc.n_max)
     except ValueError as exc:

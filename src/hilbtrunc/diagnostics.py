@@ -111,9 +111,6 @@ class Classification:
     label: str  # strong | weak-not-strong | componentwise-not-weak | none
     evidence: dict
 
-    def __str__(self):
-        return f"{self.label} (advisory; {self.evidence})"
-
 
 def classify(series: Sequence[ConvergenceRecord], which: str) -> Classification:
     """Heuristic convergence mode of the error or residual series.
@@ -292,13 +289,6 @@ class NoiseModel:
     g_law: SequenceLaw
     nu_law: SequenceLaw
 
-    def solution_law(self) -> SequenceLaw:
-        """f_n = g_n / sigma_n."""
-        return ratio_law(self.g_law, self.sigma_law)
-
-    def noise_norm_sq(self) -> float:
-        return law_tail_sq(self.nu_law, 0)
-
 
 @dataclass(frozen=True)
 class NoiseSeries:
@@ -331,7 +321,7 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
         raise ValueError(
             f"sigma law {model.sigma_law.name} must be positive on 1..{N_max}"
         )
-    nu_sq_total = model.noise_norm_sq()
+    nu_sq_total = law_tail_sq(model.nu_law, 0)
     if not math.isfinite(nu_sq_total):
         raise ValueError(f"noise law {model.nu_law.name} is not square-summable")
     Ns = np.arange(0, N_max + 1)
@@ -340,7 +330,7 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
         raise ValueError(f"datum law {model.g_law.name} is not square-summable")
     nu_sq = np.abs(np.asarray(model.nu_law(n))) ** 2
     alpha = np.concatenate([[0.0], np.cumsum(nu_sq / sigma ** 2)])
-    beta = law_tail_sq(model.solution_law(), Ns)
+    beta = law_tail_sq(ratio_law(model.g_law, model.sigma_law), Ns)  # f_n = g_n / sigma_n
     res_sq = np.concatenate([[0.0], np.cumsum(nu_sq)]) + g_tail
     err_sq = alpha + beta
     return NoiseSeries(

@@ -113,14 +113,11 @@ class SvdTriple:
 class BoundedOperator:
     """Base class: immutable operator with declared capabilities.
 
-    `frame_band` = (kl, ku) is the band of the operator's matrix on its
-    frame's coordinates (Legendre degrees on a function space, sequence
-    indices on a sequence space): the image of coordinate c has no
-    nonzero coefficient outside c - ku .. c + kl.  None declares no band.
+    Each subclass declares `frame_band` = (kl, ku), the band of its
+    matrix on its frame's coordinates (Legendre degrees on a function
+    space, sequence indices on a sequence space): the image of
+    coordinate c has no nonzero coefficient outside c - ku .. c + kl.
     """
-
-    kind = "abstract"
-    frame_band = None
 
     def __init__(self, label, space, op_norm=None, self_adjoint=False,
                  positive=False, compact=False):
@@ -222,8 +219,6 @@ class _WeightedShift(BoundedOperator):
 class MultiplicationSeq(_WeightedShift):
     """Multiplication by a bounded sequence law on l2(N)."""
 
-    kind = "multiplication_seq"
-
     def __init__(self, law: SequenceLaw):
         probe = _probe(law, 1)
         check_bounded(law)
@@ -239,13 +234,12 @@ class MultiplicationSeq(_WeightedShift):
             # heuristic: the law has visibly decayed on the window
             compact=bool(abs(probe[-1]) < 0.01 * peak),
         )
-        self.law = self.weight = law
+        self.weight = law
 
 
 class RightShift(_WeightedShift):
     """The isometry e_n -> e_{n+1} on l2(N); adjoint is the left shift."""
 
-    kind = "right_shift"
     step = 1
 
     def __init__(self):
@@ -255,7 +249,6 @@ class RightShift(_WeightedShift):
 class WeightedRightShift(_WeightedShift):
     """Compact weighted right shift e_n -> sigma_n e_{n+1} on l2(N)."""
 
-    kind = "weighted_right_shift"
     step = 1
 
     def __init__(self, law: SequenceLaw):
@@ -266,11 +259,11 @@ class WeightedRightShift(_WeightedShift):
             op_norm=float(law(np.array(1))),
             compact=True,
         )
-        self.law = self.weight = law
+        self.weight = law
 
     def exact_svd(self) -> SvdTriple:
         return SvdTriple(
-            sigma=lambda n: float(self.law(np.array(n))),
+            sigma=lambda n: float(self.weight(np.array(n))),
             right=lambda n: Seq.basis_vector(n),
             left=lambda n: Seq.basis_vector(n + 1),
         )
@@ -284,7 +277,6 @@ class WeightedRightShiftZ(_WeightedShift):
     exists and the exact-SVD capability is absent.
     """
 
-    kind = "weighted_right_shift_Z"
     step = 1
 
     def __init__(self, law: SequenceLaw):
@@ -295,14 +287,12 @@ class WeightedRightShiftZ(_WeightedShift):
             op_norm=float(law(np.array(0))),
             compact=True,
         )
-        self.law = law
         self.weight = lambda n: law(np.abs(n))
 
 
 class Volterra(BoundedOperator):
     """Integration from 0 on L2[0,1]: (Vf)(x) = integral_0^x f."""
 
-    kind = "volterra"
     frame_band = (1, 1)
 
     def __init__(self):
@@ -359,7 +349,6 @@ class Volterra(BoundedOperator):
 class MultiplicationX(BoundedOperator):
     """Multiplication by the coordinate on L2[a,b]; self-adjoint."""
 
-    kind = "multiplication_x"
     frame_band = (1, 1)
 
     def __init__(self, interval):
@@ -416,12 +405,12 @@ def parse_operator(text: str) -> BoundedOperator:
     where LAW is pow:c,p | pow1:c,p | geom:c,q | const:c.
     """
     head, _, rest = text.partition(":")
-    if head == "volterra":
+    if text == "volterra":
         return Volterra()
     if head == "mult-x":
         a, b = (float(v) for v in rest.split(","))
         return MultiplicationX((a, b))
-    if head == "right-shift":
+    if text == "right-shift":
         return RightShift()
     if head == "weighted-right-shift":
         return WeightedRightShift(parse_law(rest))

@@ -30,19 +30,16 @@ SOLUTION_FAMILIES = ("min-norm", "kernel-unit", "kernel-scaled")
 
 @dataclass(frozen=True, eq=False)
 class TruncatedProblem:
-    """The pair (A_N, g_N) with its provenance; entries are read-only.
+    """The pair (A_N, g_N); entries are read-only.
 
-    `band` = (kl, ku) bounds the lower and upper bandwidths of A_N where
-    `compress` knows them (a banded operator on its frame); None
-    elsewhere.  Problems compare and hash by identity.
+    `band` = (kl, ku) bounds the lower and upper bandwidths of A_N on a
+    pair of coordinate frames, from the operator's `frame_band`; None on
+    any other pair.  Problems compare and hash by identity.
     """
 
     N: int
     A_N: np.ndarray
     g_N: np.ndarray
-    trial: str
-    test: str
-    operator: str
     band: Optional[tuple] = None
 
     def leading(self, N: int) -> "TruncatedProblem":
@@ -94,8 +91,8 @@ def compress(
     and canonical frames A_N is the operator's coefficient matrix, bit
     for bit, and no basis element is built.
 
-    When trial and test are coordinate frames and the operator declares
-    its `frame_band` (kl, ku), the block is the s = kl + ku + 1 comb
+    When trial and test are coordinate frames, the operator's
+    `frame_band` (kl, ku) makes the block the s = kl + ku + 1 comb
     probes of the trial frame (Curtis, Powell & Reid, J. Inst. Math.
     Appl. 13, 1974): each entry in the band is read from the probe that
     holds its column, with the bits the frame's block gives it, and
@@ -112,7 +109,7 @@ def compress(
         )
     tests = test.block(N, sparse=True)
     frames = trial.coordinates is not None and test.coordinates is not None
-    if frames and op.frame_band is not None:
+    if frames:
         kl, ku = op.frame_band
         s = kl + ku + 1
         P = inner_matrix(tests, appended(op.apply_block(trial.combs(N, s)), g))
@@ -134,15 +131,7 @@ def compress(
     gvec = P[:, -1].copy()
     A.flags.writeable = False
     gvec.flags.writeable = False
-    return TruncatedProblem(
-        N=N,
-        A_N=A,
-        g_N=gvec,
-        trial=trial.label,
-        test=test.label,
-        operator=op.label,
-        band=band,
-    )
+    return TruncatedProblem(N=N, A_N=A, g_N=gvec, band=band)
 
 
 def lift(sol: ApproxSolution, trial: OrthonormalBasis):

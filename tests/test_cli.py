@@ -389,6 +389,15 @@ class TestConfigValueErrors:
             (_truncation_ini("volterra", "func:two"), "bad datum spec 'func:two': unknown func preset 'two'"),
             (_truncation_ini("volterra", "poly:1", problem="exact_solution = poly:x\n"),
              "bad exact_solution spec 'poly:x': could not convert string to float: 'x'"),
+            # specs that take no argument, given one
+            (_truncation_ini("volterra:junk", "poly:1"),
+             "bad operator spec 'volterra:junk': unknown operator spec 'volterra:junk'"),
+            (_truncation_ini("right-shift:7", "basis-e:1", "canonical", "canonical"),
+             "bad operator spec 'right-shift:7': unknown operator spec 'right-shift:7'"),
+            (_truncation_ini("right-shift", "zero:9", "canonical", "canonical"),
+             "bad datum spec 'zero:9': zero takes no argument"),
+            (_truncation_ini("volterra", "poly:1", problem="exact_solution = zero:9\n"),
+             "bad exact_solution spec 'zero:9': zero takes no argument"),
             # bases, solution families and sections
             (_truncation_ini("volterra", "poly:1", "nope", "nope"), "unknown basis 'nope'"),
             (_truncation_ini("volterra", "poly:1", truncation="solution_family = nope\n"),
@@ -402,6 +411,9 @@ class TestConfigValueErrors:
             (NOISE_INI + "nu_law = pow:1,1.5\n[output]\ncsv = out.csv\n",
              "config parse failure: While reading from '<string>' [line  5]: "
              "option 'nu_law' in section 'noise' already exists"),
+            (NOISE_INI + "n_max = 0\n[output]\ncsv = out.csv\n", "need N_max >= 1, got 0"),
+            (NOISE_INI.replace("pow:1,1", "foo:1", 1) + "[output]\ncsv = out.csv\n",
+             "bad sigma_law spec 'foo:1': unknown law kind 'foo:1'"),
         ],
         ids=[
             "misspelled-key", "problem-and-noise", "gnuplot-maybe",
@@ -409,8 +421,11 @@ class TestConfigValueErrors:
             "datum-not-a-number", "datum-empty-poly", "datum-unknown-kind",
             "poly-on-sequences", "basis-e-on-functions", "basis-e-not-an-index",
             "basis-e-zero", "func-unknown-preset", "exact-solution-not-a-number",
+            "volterra-with-argument", "right-shift-with-argument", "zero-datum-with-argument",
+            "zero-solution-with-argument",
             "unknown-trial", "unknown-solution-family", "adversarial-trial",
             "svd-with-legendre", "truncation-in-noise", "repeated-key",
+            "noise-n-max-zero", "unknown-sigma-law",
         ],
     )
     def test_input_that_would_be_dropped_exit_two(self, tmp_path, capsys, text, message):
@@ -664,7 +679,7 @@ class TestConfigValueErrors:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: bad law spec 'pow:x': malformed law 'pow:x'\n"
+        assert err == f"config error: bad {key} spec 'pow:x': malformed law 'pow:x'\n"
 
     def test_divergent_solution_law_is_unsolvable_without_warnings(self, tmp_path):
         """g_n / sigma_n = n^-2 / 0.9^n grows: the tail sum is inf, quietly."""
@@ -782,6 +797,21 @@ class TestCliMatrix:
         meta, header, rows = read_csv(out)
         assert column(header, rows, "N", int) == [1]
         assert meta["test"].startswith("adversarial[")
+
+    @pytest.mark.parametrize("trial,test", [("krylov", "krylov"), ("canonical", "krylov")])
+    def test_finite_family_below_every_n_exit_three(self, tmp_path, capsys, trial, test):
+        """The Krylov space of an eigenvector is 1-d: a sweep from N = 2
+        has no row, and one from N = 1 keeps that row alone."""
+        cfg, out = tmp_path / "c.ini", tmp_path / "o.csv"
+        cfg.write_text(_truncation_ini("mult-seq:const:1", "basis-e:1", trial, test, n_list="2,4"))
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "capability mismatch: krylov[mult-seq(const:1)] has size 1, below the smallest N = 2\n"
+        )
+        assert not out.exists()
+        cfg.write_text(_truncation_ini("mult-seq:const:1", "basis-e:1", trial, test, n_list="1,2,4"))
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert column(*read_csv(out)[1:], "N", int) == [1]
 
     def test_cg_reports_the_krylov_basis_of_the_datum(self, tmp_path):
         cfg, out = tmp_path / "c.ini", tmp_path / "o.csv"

@@ -22,6 +22,7 @@ from hilbtrunc.operators import (
 from hilbtrunc.bases import canonical_basis, legendre_basis, fourier_basis
 from hilbtrunc.truncation import ApproxSolution, compress, solve_direct
 from hilbtrunc.diagnostics import (
+    ConvergenceRecord,
     NoiseModel,
     classify,
     evaluate,
@@ -158,6 +159,19 @@ class TestClassify:
             if ev["weak_evidence"]:
                 assert ev["componentwise_evidence"]
 
+    def test_non_vanishing_series_is_none(self):
+        """A bounded norm above the strong level whose tracked component
+        stays at 0.5 shows no mode of convergence."""
+        records = [ConvergenceRecord(N, 1.0, 1.0, 1.0, 0.0, ((1, 0.5, 0.5),)) for N in range(1, 11)]
+        for which in ("error", "residual"):
+            assert classify(records, which).label == "none"
+
+    def test_error_needs_an_exact_solution(self):
+        records = [ConvergenceRecord(N, None, 1.0, 1.0, 0.0, ()) for N in range(1, 11)]
+        assert classify(records, "residual").label == "weak-not-strong"  # needs none
+        with pytest.raises(ValueError, match="requires err_norm"):
+            classify(records, "error")
+
     def test_requires_enough_records(self):
         records = shift_family_series("kernel-unit", n_top=5)
         with pytest.raises(ValueError):
@@ -290,7 +304,7 @@ class TestExactLawParameters:
 class TestNoiseSeries:
     def test_noise_norm_is_zeta_three(self):
         model = example_62_model()
-        assert abs(model.noise_norm_sq() - ZETA3) < 1e-12
+        assert abs(law_tail_sq(model.nu_law, 0) - ZETA3) < 1e-12
         assert noise_series(model, 1).solvable
 
     def test_beta_zero_is_basel_sum(self):

@@ -224,3 +224,17 @@ class TestSeq:
     def test_lincomb(self):
         out = lincomb([2.0, -1.0], [Seq.basis_vector(1), Seq.basis_vector(2)])
         np.testing.assert_allclose(out.values.real, [2.0, -1.0])
+
+    def test_lincomb_of_sequences_that_store_nothing(self):
+        out = lincomb([2.0, -1.0], [Seq.zero(), Seq.zero()])
+        assert (out.origin, len(out.values), out.norm()) == (1, 0, 0.0)
+
+    def test_adding_zero_copies_the_other_window(self):
+        a = Seq("nat", 2, np.array([1.0, -3.0]))
+        for total in (a + Seq.zero(), Seq.zero() + a):
+            assert total.origin == 2 and np.array_equal(total.values, a.values)
+            assert not np.shares_memory(total.values, a.values)
+
+    def test_inner_of_a_sequence_and_a_function_rejected(self):
+        with pytest.raises(SpaceMismatchError):
+            inner(Seq.basis_vector(1), Func.from_poly((0.0, 1.0), [1.0]))

@@ -42,16 +42,16 @@ def random_seq(rng, domain="nat", width=12):
 
 class TestConstruction:
     def test_constructor_kinds(self):
-        assert Volterra().kind == "volterra"
+        assert isinstance(Volterra(), Volterra)
         assert MultiplicationX((1, 2)).op_norm == 2.0
         assert RightShift().op_norm == 1.0
         w = WeightedRightShift(power_law(1, 1))
         assert w.compact and w.op_norm == 1.0
 
     def test_parse_operator_strings(self):
-        assert parse_operator("volterra").kind == "volterra"
+        assert isinstance(parse_operator("volterra"), Volterra)
         assert parse_operator("mult-x:1,2").space == ("func", (1.0, 2.0))
-        assert parse_operator("weighted-right-shift:pow:1,1").kind == "weighted_right_shift"
+        assert isinstance(parse_operator("weighted-right-shift:pow:1,1"), WeightedRightShift)
         assert parse_operator("weighted-right-shift-z:geom:1,0.5").space == ("seq", "int")
         assert parse_operator("mult-seq:const:2").op_norm == 2.0
         with pytest.raises(ValueError):
@@ -65,6 +65,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedRightShiftZ(power_law(1, 1))  # infinite at index 0
         WeightedRightShiftZ(shifted_power_law(1, 1))  # finite everywhere
+        gap = SequenceLaw("gap", lambda n: np.where(n == 3, 0.0, 1.0 / n))
+        with pytest.raises(ValueError, match="must be positive"):
+            WeightedRightShift(gap)  # zero at 3, then positive again
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
