@@ -32,7 +32,6 @@ from .operators import (
     parse_operator,
     power_law,
     shifted_power_law,
-    volterra_power_apply,
 )
 from .bases import (
     KrylovBasis,
@@ -63,7 +62,6 @@ from .diagnostics import (
     evaluate,
     law_tail_sq,
     noise_series,
-    noisy_pipeline_check,
 )
 
 __version__ = "0.1.0"

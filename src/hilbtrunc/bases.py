@@ -104,9 +104,8 @@ class OrthonormalBasis:
     def _on_window(self, lo: int, coords) -> CoordinateBlock:
         """The block of rows `coords` on the coordinate window from `lo`."""
         rows, N = coords.shape
-        if self.space[0] == "func":
-            return CoordinateBlock(self.space, coords, np.zeros((rows, 0), dtype=complex))
-        return CoordinateBlock(self.space, coords, index=np.arange(lo, lo + N))
+        no_atoms = np.zeros((rows, 0), dtype=complex)
+        return CoordinateBlock(self.space, coords, np.arange(lo, lo + N), no_atoms)
 
     def place(self, coeffs):
         """The combination of a coordinate frame's first len(coeffs)
@@ -352,17 +351,14 @@ def arnoldi(op: BoundedOperator, g, steps: int):
 
 
 def _window(op: BoundedOperator, e):
-    """(origin, coefficients) of an atom-free element: a sequence's stored
-    window, or a function's Legendre coefficients from degree 0."""
-    if isinstance(e, Seq):
-        return e.origin, e.values
+    """(origin, values) of an atom-free element's coefficient window."""
     if any(c != 0 for c in e.osc.values()):
         raise CapabilityError(
             f"Krylov bases of {op.label} need atom-free data: a Krylov vector "
             "holding oscillatory atoms x^m e^{iwx} piles up atoms of growing m "
             "whose coefficients cancel (see ROADMAP.md, open item 4)"
         )
-    return 0, e.leg
+    return e.origin, e.values
 
 
 def _span(lo, values):

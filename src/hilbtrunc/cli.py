@@ -48,6 +48,13 @@ from .diagnostics import (
 
 KRYLOV_CONVENTION = "residual-minimization"
 SOLVERS = ("qr", "gmres", "cg")
+# the frames: name -> (the space kind they live in, factory of its domain)
+FRAMES = {
+    "legendre": ("func", legendre_basis),
+    "fourier": ("func", fourier_basis),
+    "canonical": ("seq", canonical_basis),
+}
+BASES = (*FRAMES, "krylov", "adversarial", "svd")
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +85,9 @@ class TruncationConfig:
             raise ConfigError(f"n_list must be strictly increasing, got {n}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
+        for name in (self.trial, self.test):
+            if name not in BASES:
+                raise ConfigError(f"unknown basis {name!r}")
         if self.solution_family not in SOLUTION_FAMILIES:
             raise ConfigError(f"unknown solution_family {self.solution_family!r}")
         if not self.tol >= 0:  # NaN fails too
@@ -90,6 +100,10 @@ class NoiseConfig:
     g_law: str
     nu_law: str
     n_max: int = 1000
+
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -312,16 +326,9 @@ def parse_element(text: str, op: BoundedOperator):
     raise ValueError(f"unknown element kind {head!r}")
 
 
-# the frames: name -> (the space kind they live in, factory of its domain)
-FRAMES = {
-    "legendre": ("func", legendre_basis),
-    "fourier": ("func", fourier_basis),
-    "canonical": ("seq", canonical_basis),
-}
-
-
 def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
-    """Resolve a basis selection string against an operator."""
+    """Resolve a basis name against an operator: any of `BASES` but svd,
+    whose trial and test come as a pair from `svd_bases`."""
     if name in FRAMES:
         kind, factory = FRAMES[name]
         if op.space[0] != kind:
@@ -330,12 +337,11 @@ def make_basis(name: str, op: BoundedOperator, datum, n_max: int, trial=None):
         return factory(op.space[1])
     if name == "krylov":
         return krylov_basis(op, datum, n_max)
-    if name == "adversarial":
-        if trial is None:
-            raise ConfigError("adversarial works as a test basis only")
-        n = min(n_max, trial.size or n_max)
-        return adversarial_test_basis(op, trial, n)
-    raise ConfigError(f"unknown basis {name!r}")
+    # adversarial, the one name left
+    if trial is None:
+        raise ConfigError("adversarial works as a test basis only")
+    n = min(n_max, trial.size or n_max)
+    return adversarial_test_basis(op, trial, n)
 
 
 # ---------------------------------------------------------------------------

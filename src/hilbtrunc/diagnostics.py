@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.special
 
-from .bases import OrthonormalBasis, svd_bases
+from .bases import OrthonormalBasis
 from .core import gauss_legendre
-from .elements import inner, lincomb
+from .elements import inner
 from .operators import (
     BoundedOperator,
     SequenceLaw,
@@ -28,7 +28,7 @@ from .operators import (
     power_law,
     shifted_power_law,
 )
-from .truncation import ApproxSolution, compress, lift, solve_direct
+from .truncation import ApproxSolution, lift
 
 #: Norm level below which a series counts as strongly vanished.
 TOL_STRONG = 1e-6
@@ -343,44 +343,3 @@ def noise_series(model: NoiseModel, N_max: int) -> NoiseSeries:
         noise_norm_sq=nu_sq_total,
         solvable=bool(np.isfinite(beta[0])),
     )
-
-
-def noisy_pipeline_check(
-    op: BoundedOperator,
-    model: NoiseModel,
-    N_max: int,
-    tail_window: int = 120,
-) -> float:
-    """Run compress/solve/evaluate in the singular frame against closed forms.
-
-    The datum g + nu is synthesized on a window of N_max + tail_window
-    singular modes; the compression is then diag(sigma) and the
-    truncated problems are solved exactly, so the pipeline's res/err
-    norms must reproduce the (window-consistent) partial sums.  Returns
-    the maximum absolute discrepancy of the squared norms over N <= N_max.
-    """
-    triple = op.exact_svd()
-    trial, test = svd_bases(op)
-    W = N_max + tail_window
-    idx = np.arange(1, W + 1)
-    g_n = np.asarray(model.g_law(idx), dtype=float)
-    nu_n = np.asarray(model.nu_law(idx), dtype=float)
-    sigma_n = np.asarray(model.sigma_law(idx), dtype=float)
-    g_el = lincomb(g_n, [triple.left(int(k)) for k in idx])
-    nu_el = lincomb(nu_n, [triple.left(int(k)) for k in idx])
-    f_el = lincomb(g_n / sigma_n, [triple.right(int(k)) for k in idx])
-    datum = g_el + nu_el
-
-    base = compress(op, trial, test, N_max, datum)
-    worst = 0.0
-    for N in range(1, N_max + 1):
-        sol = solve_direct(base.leading(N))
-        rec = evaluate(op, g_el, sol, trial, test, f_exact=f_el, tracked=())
-        res_expect = float(np.sum(nu_n[:N] ** 2) + np.sum(g_n[N:] ** 2))
-        err_expect = float(
-            np.sum((nu_n[:N] / sigma_n[:N]) ** 2)
-            + np.sum((g_n[N:] / sigma_n[N:]) ** 2)
-        )
-        worst = max(worst, abs(rec.res_norm ** 2 - res_expect))
-        worst = max(worst, abs(rec.err_norm ** 2 - err_expect))
-    return worst

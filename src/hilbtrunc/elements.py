@@ -1,13 +1,15 @@
 """Exact arithmetic for ambient Hilbert-space elements.
 
-Two concrete representations are used throughout:
+Both representations store a window of coefficients, `values` at the
+coordinates `origin`, `origin` + 1, ...:
 
 * `Seq` -- finitely supported vectors in the sequence space over the
   naturals (indices >= 1) or the integers.
 
-* `Func` -- functions on an interval [a, b], stored as a vector of
-  coefficients of the L2-normalized shifted Legendre polynomials plus a
-  sparse combination of oscillatory terms x^m e^{i w x} (w != 0).  The
+* `Func` -- functions on an interval [a, b]: the window holds the
+  coefficients of the L2-normalized shifted Legendre polynomials from
+  degree 0, and a sparse combination of oscillatory terms
+  x^m e^{i w x} (w != 0) is added to it.  The
   class is closed under the model operators (integration from a,
   multiplication by x).  All inner products have closed forms.  The
   Legendre x oscillatory moments come from the Fourier transform of a
@@ -27,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse
@@ -50,25 +52,6 @@ _SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 # normalized shifted Legendre machinery
 # ---------------------------------------------------------------------------
-
-def legendre_values(interval, max_degree: int, x) -> np.ndarray:
-    """Values of the orthonormal shifted Legendre family on `interval`.
-
-    Row n of the returned (max_degree+1, len(x)) array is the degree-n
-    polynomial, evaluated by the stable three-term recurrence.
-    """
-    a, b = interval
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = (2.0 * x - a - b) / (b - a)
-    out = np.empty((max_degree + 1, t.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = t
-    for n in range(1, max_degree):
-        out[n + 1] = ((2 * n + 1) * t * out[n] - n * out[n - 1]) / (n + 1)
-    scale = np.sqrt((2.0 * np.arange(max_degree + 1) + 1.0) / (b - a))
-    return out * scale[:, None]
-
 
 def _down(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """`values`, one per row of `coeffs`, shaped to act down its axis 0."""
@@ -243,13 +226,16 @@ def leg_osc_integral(interval, n: int, m: int, w: float) -> np.ndarray:
 class Func:
     """Function on an interval: Legendre part + oscillatory terms.
 
-    `leg[n]` multiplies the orthonormal shifted Legendre polynomial of
-    degree n; `osc[(m, w)]` multiplies x^m e^{iwx} with w != 0.
+    `values[n]` multiplies the orthonormal shifted Legendre polynomial
+    of degree n: a `Seq` window whose `origin` is always 0.  `osc[(m, w)]`
+    multiplies x^m e^{iwx} with w != 0.
     """
 
     interval: tuple
-    leg: np.ndarray
+    values: np.ndarray
     osc: dict
+
+    origin = 0
 
     @staticmethod
     def zero(interval) -> "Func":
@@ -275,7 +261,7 @@ class Func:
         return Func(interval, np.zeros(0, dtype=complex), dict(terms))
 
     def __post_init__(self):
-        self.leg = np.asarray(self.leg, dtype=complex)
+        self.values = np.asarray(self.values, dtype=complex)
 
     @property
     def space(self) -> tuple:
@@ -289,14 +275,11 @@ class Func:
 
     def __add__(self, other: "Func") -> "Func":
         self._check(other)
-        n = max(len(self.leg), len(other.leg))
-        leg = np.zeros(n, dtype=complex)
-        leg[: len(self.leg)] += self.leg
-        leg[: len(other.leg)] += other.leg
+        _, values = _window_sum(self, other)
         osc = dict(self.osc)
         for key, c in other.osc.items():
             osc[key] = osc.get(key, 0.0) + c
-        return Func(self.interval, leg, osc)
+        return Func(self.interval, values, osc)
 
     def __sub__(self, other: "Func") -> "Func":
         return self + (-1.0) * other
@@ -304,7 +287,7 @@ class Func:
     def __rmul__(self, scalar) -> "Func":
         return Func(
             self.interval,
-            scalar * self.leg,
+            scalar * self.values,
             {k: scalar * c for k, c in self.osc.items()},
         )
 
@@ -317,10 +300,7 @@ class Func:
         distinct pair of m1 + m2 and w2 - w1 between the atoms.
         """
         self._check(other)
-        total = 0.0 + 0.0j
-        nmin = min(len(self.leg), len(other.leg))
-        if nmin:
-            total += np.vdot(self.leg[:nmin], other.leg[:nmin])
+        total = _window_inner(self, other)
         left = [(key, c) for key, c in self.osc.items() if c != 0]
         right = [(key, c) for key, c in other.osc.items() if c != 0]
         if not (left or right):
@@ -328,30 +308,19 @@ class Func:
         atoms1, c1 = zip(*left) if left else ((), ())
         atoms2, c2 = zip(*right) if right else ((), ())
         c1, c2 = np.conj(c1), np.array(c2)
-        if right and len(self.leg):
-            total += (self.leg.conj() @ _moments(self.interval, atoms2, len(self.leg))) @ c2
-        if left and len(other.leg):
-            total += c1 @ (other.leg @ _moments(self.interval, atoms1, len(other.leg)).conj())
+        if right and len(self.values):
+            total += (self.values.conj() @ _moments(self.interval, atoms2, len(self.values))) @ c2
+        if left and len(other.values):
+            total += c1 @ (other.values @ _moments(self.interval, atoms1, len(other.values)).conj())
         if left and right:
             total += c1 @ _atom_gram(self.interval, atoms1, atoms2) @ c2
         return complex(total)
 
     def norm(self) -> float:
         if not self.osc:
-            return float(np.linalg.norm(self.leg))
+            return float(np.linalg.norm(self.values))
         val = self.inner(self)
         return math.sqrt(max(val.real, 0.0))
-
-    def eval_at(self, x) -> np.ndarray:
-        """Pointwise values (vectorized over x)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        if len(self.leg):
-            lv = legendre_values(self.interval, len(self.leg) - 1, x)
-            out += self.leg @ lv
-        for (m, w), c in self.osc.items():
-            out += c * x ** m * np.exp(1j * w * x)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +334,8 @@ class Seq:
     domain: str
     origin: int
     values: np.ndarray
+
+    osc = MappingProxyType({})  # no oscillatory atoms
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -399,16 +370,7 @@ class Seq:
 
     def __add__(self, other: "Seq") -> "Seq":
         self._check(other)
-        if len(self.values) == 0:
-            return Seq(self.domain, other.origin, other.values.copy())
-        if len(other.values) == 0:
-            return Seq(self.domain, self.origin, self.values.copy())
-        lo = min(self.origin, other.origin)
-        hi = max(self.origin + len(self.values), other.origin + len(other.values))
-        out = np.zeros(hi - lo, dtype=complex)
-        out[self.origin - lo : self.origin - lo + len(self.values)] += self.values
-        out[other.origin - lo : other.origin - lo + len(other.values)] += other.values
-        return Seq(self.domain, lo, out)
+        return Seq(self.domain, *_window_sum(self, other))
 
     def __sub__(self, other: "Seq") -> "Seq":
         return self + (-1.0) * other
@@ -418,13 +380,7 @@ class Seq:
 
     def inner(self, other: "Seq") -> complex:
         self._check(other)
-        lo = max(self.origin, other.origin)
-        hi = min(self.origin + len(self.values), other.origin + len(other.values))
-        if hi <= lo:
-            return 0.0 + 0.0j
-        a = self.values[lo - self.origin : hi - self.origin]
-        b = other.values[lo - other.origin : hi - other.origin]
-        return complex(np.vdot(a, b))
+        return complex(_window_inner(self, other))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -449,6 +405,34 @@ def map_by_index(values: np.ndarray, index: np.ndarray, fn) -> np.ndarray:
     """values[k] * fn(index[k]): sequence coefficients at `index`, or a
     2-D block of them with one column per element, indices down axis 0."""
     return values * _down(fn(index), values)
+
+
+def _window_sum(u, v):
+    """(origin, values) of the sum of two coefficient windows: each added
+    into zeros on the union of the two.  An empty window adds no extent:
+    the sum is a copy of the other."""
+    if not len(u.values):
+        return v.origin, v.values.copy()
+    if not len(v.values):
+        return u.origin, u.values.copy()
+    lo = min(u.origin, v.origin)
+    hi = max(u.origin + len(u.values), v.origin + len(v.values))
+    out = np.zeros(hi - lo, dtype=complex)
+    out[u.origin - lo : u.origin - lo + len(u.values)] += u.values
+    out[v.origin - lo : v.origin - lo + len(v.values)] += v.values
+    return lo, out
+
+
+def _window_inner(u, v):
+    """<u, v> of two coefficient windows: one vdot over their overlap,
+    added to 0j."""
+    lo = max(u.origin, v.origin)
+    hi = min(u.origin + len(u.values), v.origin + len(v.values))
+    if hi <= lo:
+        return 0j
+    a = u.values[lo - u.origin : hi - u.origin]
+    b = v.values[lo - v.origin : hi - v.origin]
+    return 0j + np.vdot(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +467,13 @@ def lincomb(coeffs, elements):
     (block,) = stack(elements)
     coeffs = np.asarray(coeffs)[:, None]
     total = _row_sum(coeffs * block.coords)
-    if block.space[0] == "func":
-        osc = _row_sum(coeffs * block.osc)
-        return element(block.space, 0, total, dict(zip(block.atoms, osc)))
+    osc = dict(zip(block.atoms, _row_sum(coeffs * block.osc)))
     if not len(block.index):
-        return element(block.space, elements[0].origin, total)
+        return element(block.space, elements[0].origin, total, osc)
     lo = int(block.index[0])
     values = np.zeros(int(block.index[-1]) - lo + 1, dtype=complex)
     values[block.index - lo] = total
-    return element(block.space, lo, values)
+    return element(block.space, lo, values, osc)
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
@@ -510,20 +492,21 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
 class CoordinateBlock:
     """Elements of one space as the rows of coefficient matrices.
 
-    `coords` holds each element's coefficients on the Legendre degrees
-    0, 1, ... of a function, or on the sorted sequence indices `index`;
-    it is a dense array, or a sparse one for a coordinate frame's
-    selection (see `OrthonormalBasis.block`).  `osc` holds a function's
-    coefficients on the oscillatory atoms x^m e^{iwx} listed in `atoms`,
-    sorted by (m, w): a product then sums each entry in an order that
-    depends only on its two elements, not on the rest of the block.
+    `coords` holds each element's coefficients at the sorted window
+    coordinates `index`: a function's Legendre degrees 0, 1, ..., or
+    sequence indices.  It is a dense array, or a sparse one for a
+    coordinate frame's selection (see `OrthonormalBasis.block`).  `osc`
+    holds the coefficients on the oscillatory atoms x^m e^{iwx} listed
+    in `atoms`, sorted by (m, w), and has no columns on sequences: a
+    product then sums each entry in an order that depends only on its
+    two elements, not on the rest of the block.
     """
 
     space: tuple
     coords: object
-    osc: Optional[np.ndarray] = None
+    index: np.ndarray
+    osc: np.ndarray
     atoms: tuple = ()
-    index: Optional[np.ndarray] = None
 
     def mapped(self, fn) -> "CoordinateBlock":
         """Every coefficient at sequence index n multiplied by fn(n)."""
@@ -540,40 +523,33 @@ class CoordinateBlock:
 def stack(*lists) -> list:
     """One coordinate block per nonempty list of elements of one space.
 
-    The blocks share their columns: the Legendre degrees up to the
-    longest expansion, or the sequence indices at which some element
-    stores a value, so that elements far apart add no columns for the
-    gap between them.  Each block lists the atoms of its own elements.
+    The blocks share their columns: the coordinates at which some
+    element stores a value (for functions, the Legendre degrees up to
+    the longest expansion), so that sequences far apart add no columns
+    for the gap between them.  Each block lists the atoms of its own
+    elements.
     """
     space = lists[0][0].space
     for e in (e for lst in lists for e in lst):
         if e.space != space:
             raise SpaceMismatchError(f"cannot pair elements of {space} with elements of {e.space}")
+    filled = [e for lst in lists for e in lst if len(e.values)]
+    index = _stored_indices(filled)
+    # a stored window is contiguous in the sorted index
+    starts = iter(np.searchsorted(index, [e.origin for e in filled]).tolist())
     blocks = []
-    if space[0] == "seq":
-        filled = [e for lst in lists for e in lst if len(e.values)]
-        index = _stored_indices(filled)
-        # a stored window is contiguous in the sorted index
-        starts = iter(np.searchsorted(index, [e.origin for e in filled]).tolist())
-        for lst in lists:
-            coords = np.zeros((len(lst), len(index)), dtype=complex)
-            for i, e in enumerate(lst):
-                if len(e.values):
-                    start = next(starts)
-                    coords[i, start : start + len(e.values)] = e.values
-            blocks.append(CoordinateBlock(space, coords, index=index))
-        return blocks
-    degrees = max(len(e.leg) for lst in lists for e in lst)
     for lst in lists:
         atoms = sorted({key for e in lst for key in e.osc})
         slot = {key: j for j, key in enumerate(atoms)}
-        coords = np.zeros((len(lst), degrees), dtype=complex)
+        coords = np.zeros((len(lst), len(index)), dtype=complex)
         osc = np.zeros((len(lst), len(atoms)), dtype=complex)
         for i, e in enumerate(lst):
-            coords[i, : len(e.leg)] = e.leg
+            if len(e.values):
+                start = next(starts)
+                coords[i, start : start + len(e.values)] = e.values
             for key, c in e.osc.items():
                 osc[i, slot[key]] = c
-        blocks.append(CoordinateBlock(space, coords, osc, tuple(atoms)))
+        blocks.append(CoordinateBlock(space, coords, index, osc, tuple(atoms)))
     return blocks
 
 
@@ -586,32 +562,32 @@ def appended(block: CoordinateBlock, e) -> CoordinateBlock:
     """
     if e.space != block.space:
         raise SpaceMismatchError(f"cannot pair elements of {block.space} with elements of {e.space}")
-    (row,) = stack([e])
     n = block.coords.shape[0]
-    if block.space[0] == "seq":
-        index = np.union1d(block.index, row.index)
-        coords = np.zeros((n + 1, len(index)), dtype=complex)
-        coords[:n, np.searchsorted(index, block.index)] = block.coords
-        coords[n, np.searchsorted(index, row.index)] = row.coords[0]
-        return CoordinateBlock(block.space, coords, index=index)
-    coords = np.zeros((n + 1, max(block.coords.shape[1], row.coords.shape[1])), dtype=complex)
-    coords[:n, : block.coords.shape[1]] = block.coords
-    coords[n, : row.coords.shape[1]] = row.coords[0]
-    atoms = sorted(set(block.atoms) | set(row.atoms))
+    lo, hi = e.origin, e.origin + len(e.values)
+    a, b = np.searchsorted(block.index, [lo, hi]).tolist()
+    # e's window [lo, hi) in place of the block's columns inside it
+    index = np.concatenate([block.index[:a], np.arange(lo, hi), block.index[b:]])
+    coords = np.zeros((n + 1, len(index)), dtype=complex)
+    coords[:n, np.searchsorted(index, block.index)] = block.coords
+    coords[n, a : a + hi - lo] = e.values
+    atoms = sorted(set(block.atoms) | set(e.osc))
     slot = {key: j for j, key in enumerate(atoms)}
     osc = np.zeros((n + 1, len(atoms)), dtype=complex)
     osc[:n, [slot[key] for key in block.atoms]] = block.osc
-    osc[n, [slot[key] for key in row.atoms]] = row.osc[0]
-    return CoordinateBlock(block.space, coords, osc, tuple(atoms))
+    for key, c in e.osc.items():
+        osc[n, slot[key]] = c
+    return CoordinateBlock(block.space, coords, index, osc, tuple(atoms))
 
 
-def _stored_indices(seqs) -> np.ndarray:
-    """The sorted indices at which some sequence stores a value: the
+def _stored_indices(elements) -> np.ndarray:
+    """The sorted coordinates at which some element stores a value: the
     union of their windows, merged into runs."""
-    if not seqs:
-        return np.zeros(0, dtype=int)
-    lo = np.array([e.origin for e in seqs])
-    hi = lo + np.array([len(e.values) for e in seqs])
+    origins = {e.origin for e in elements}
+    if len(origins) <= 1:  # windows from one origin: the longest holds the rest
+        lo = origins.pop() if origins else 0
+        return np.arange(lo, lo + max((len(e.values) for e in elements), default=0))
+    lo = np.array([e.origin for e in elements])
+    hi = lo + np.array([len(e.values) for e in elements])
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], np.maximum.accumulate(hi[order])
     first = np.append(True, lo[1:] > hi[:-1])  # windows that start a run
@@ -632,18 +608,16 @@ def inner_matrix(tests, elements) -> np.ndarray:
     its row of G U exactly.
     """
     V, U = _blocks(tests, elements)
-    # the Legendre (or sequence) rows of G U
-    GU = U.coords
-    width = GU.shape[1]
-    if V.space[0] == "func":
-        interval = V.space[1]
-        if U.atoms:  # an atom meets every degree of V
-            width = max(width, V.coords.shape[1])
-            GU = _sparse(U.osc) @ _moments(interval, U.atoms, width).T
-            GU[:, : U.coords.shape[1]] += U.coords
-    A = _rows_on(V, U, width) @ GU.T
+    # the window rows of G U, at the coordinates `index`
+    index, GU = U.index, U.coords
+    if U.atoms:  # an atom meets every degree of V; degrees run from 0
+        index = np.arange(max(len(U.index), len(V.index)))
+        GU = _sparse(U.osc) @ _moments(U.space[1], U.atoms, len(index)).T
+        GU[:, : U.coords.shape[1]] += U.coords
+    A = _rows_on(V, index) @ GU.T
     if V.atoms:
         # the atom rows of G U: moments of U's degrees, iosc of U's atoms
+        interval = V.space[1]
         moments = _moments(interval, V.atoms, U.coords.shape[1])
         gram = _atom_gram(interval, V.atoms, U.atoms)
         A += _sparse(V.osc.conj()) @ (_sparse(U.coords) @ moments.conj() + _sparse(U.osc) @ gram.T).T
@@ -660,21 +634,18 @@ def _blocks(tests, elements):
     return V, U
 
 
-def _rows_on(V, U, width):
-    """conj(V) as a CSR matrix on the `width` columns of G U (U's
-    Legendre degrees, or U's sequence indices), so that its product
-    with (G U)^T is V^H G U.  A column of V that G U lacks would meet
-    zeros only, and a sum started at +0, as the sparse product starts,
-    is the same without them, so it is dropped."""
+def _rows_on(V, index):
+    """conj(V) as a CSR matrix on the columns of G U, at the sorted
+    coordinates `index`, so that its product with (G U)^T is V^H G U.
+    A column of V that G U lacks would meet zeros only, and a sum
+    started at +0, as the sparse product starts, is the same without
+    them, so it is dropped."""
     rows, cols, values = _nonzeros(V.coords)
-    if V.index is None:
-        keep = cols < width
-    else:
-        pos = np.searchsorted(U.index, V.index)
-        found = pos < len(U.index)
-        found[found] = U.index[pos[found]] == V.index[found]
-        keep, cols = found[cols], pos[cols]
-    return _csr(rows[keep], cols[keep], values[keep].conj(), (V.coords.shape[0], width))
+    pos = np.searchsorted(index, V.index)
+    found = pos < len(index)
+    found[found] = index[pos[found]] == V.index[found]
+    keep, cols = found[cols], pos[cols]
+    return _csr(rows[keep], cols[keep], values[keep].conj(), (V.coords.shape[0], len(index)))
 
 
 def _nonzeros(x):

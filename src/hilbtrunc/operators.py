@@ -305,7 +305,7 @@ class Volterra(BoundedOperator):
 
     def apply(self, f: Func) -> Func:
         self._check(f)
-        leg = integrate_leg01(f.leg)
+        leg = integrate_leg01(f.values)
         # in the block's sorted (m, w) order, so apply_block's bits match
         osc, const = _integrate_atoms(sorted(f.osc.items()))
         if const != 0:
@@ -319,9 +319,8 @@ class Volterra(BoundedOperator):
         leg[0] += const
         atoms = sorted(osc)
         columns = np.array([osc[key] for key in atoms], dtype=complex)
-        return CoordinateBlock(
-            self.space, leg.T, columns.reshape(len(atoms), leg.shape[1]).T, tuple(atoms)
-        )
+        columns = columns.reshape(len(atoms), leg.shape[1]).T
+        return CoordinateBlock(self.space, leg.T, np.arange(len(leg)), columns, tuple(atoms))
 
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
@@ -368,7 +367,7 @@ class MultiplicationX(BoundedOperator):
 
     def apply(self, f: Func) -> Func:
         self._check(f)
-        leg = mult_x_leg(f.interval, f.leg)
+        leg = mult_x_leg(f.interval, f.values)
         osc = {(m + 1, w): c for (m, w), c in f.osc.items()}
         return Func(f.interval, leg, osc)
 
@@ -376,7 +375,7 @@ class MultiplicationX(BoundedOperator):
         self._check(block)
         leg = mult_x_leg(self.space[1], block.coords.T)
         atoms = tuple((m + 1, w) for m, w in block.atoms)
-        return CoordinateBlock(self.space, leg.T, block.osc, atoms)
+        return CoordinateBlock(self.space, leg.T, np.arange(len(leg)), block.osc, atoms)
 
     adjoint_apply = apply
 
@@ -419,29 +418,3 @@ def parse_operator(text: str) -> BoundedOperator:
     if head == "mult-seq":
         return MultiplicationSeq(parse_law(rest))
     raise ValueError(f"unknown operator spec {text!r}")
-
-
-def volterra_power_apply(n: int, f: Func) -> Func:
-    """n-th power of the integration operator via its explicit kernel.
-
-    Expands the kernel (x-y)^{n-1}/(n-1)! binomially, so each term is a
-    monomial multiplication, one integration, and another monomial
-    multiplication; this path is independent of iterating apply().
-    """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    op = Volterra()
-    op._check(f)
-    mult = MultiplicationX((0.0, 1.0))
-    acc = Func.zero(f.interval)
-    # y^k f, integrated, then times x^{n-1-k}
-    yk = f
-    for k in range(0, n):
-        term = op.apply(yk)
-        for _ in range(n - 1 - k):
-            term = mult.apply(term)
-        coeff = ((-1.0) ** k) * math.comb(n - 1, k) / math.factorial(n - 1)
-        acc = acc + coeff * term
-        if k < n - 1:
-            yk = mult.apply(yk)
-    return acc

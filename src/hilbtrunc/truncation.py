@@ -69,7 +69,6 @@ class ApproxSolution:
 
     f_N_coeffs: np.ndarray
     eps_norm: float
-    solver: str
     iterations: int
     element: object = None
 
@@ -199,12 +198,7 @@ def solve_direct(p: TruncatedProblem, family: str = "min-norm") -> ApproxSolutio
             scale = 1.0 if family == "kernel-unit" else float(p.N)
             x = x + scale * kernel
     eps = float(np.linalg.norm(p.A_N @ x - p.g_N))
-    return ApproxSolution(
-        f_N_coeffs=x,
-        eps_norm=eps,
-        solver="qr" if family == "min-norm" else f"qr[{family}]",
-        iterations=0,
-    )
+    return ApproxSolution(f_N_coeffs=x, eps_norm=eps, iterations=0)
 
 
 def solve_gmres(
@@ -239,11 +233,11 @@ def solve_gmres(
 
     near = tol + RANK_RTOL * gnorm
     return _krylov_iterates(
-        op, g, gnorm, N_max, steps, "gmres", lambda qr: qr.residual <= near, least_squares
+        op, g, gnorm, N_max, steps, lambda qr: qr.residual <= near, least_squares
     )
 
 
-def _krylov_iterates(op, seed, beta, N_max, steps, solver, near, solve):
+def _krylov_iterates(op, seed, beta, N_max, steps, near, solve):
     """The Krylov sweep of both iterative solvers, on K_n(A, seed).
 
     Returns (solutions, basis), the basis being the Krylov frame the
@@ -272,7 +266,7 @@ def _krylov_iterates(op, seed, beta, N_max, steps, solver, near, solve):
         rhs[0] = beta
         y, eps, stop = solve(H[: n + 1, :n], rhs)
         if n in wanted or last or stop:
-            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=eps, solver=solver, iterations=n))
+            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=eps, iterations=n))
         if stop or last:
             break
     return sols, basis
@@ -324,14 +318,6 @@ class _GivensQR:
         return self.residual / self.cosine if self.cosine else math.inf
 
 
-def givens_residuals(H: np.ndarray, beta: float) -> np.ndarray:
-    """min ||H[:n+1, :n] y - beta e_1|| for n = 1..m, H of shape (m+1, m),
-    from one progressive Givens QR (`_GivensQR`)."""
-    m = H.shape[1]
-    rotations = _GivensQR(beta, m)
-    return np.array([rotations.push(H) for _ in range(m)], dtype=float)
-
-
 #: CG solves T_n densely where the Givens value of its Galerkin residual
 #: is within this factor of the stopping floor.  That value and the
 #: solved |h_{n+1,n} y_n| differed by at most 1.6e-12 of their size over
@@ -376,11 +362,7 @@ def solve_cg(
     floor = 1e-15 * max(g.norm(), 1.0)
     if rnorm0 <= floor:
         sol = ApproxSolution(
-            f_N_coeffs=np.zeros(0, dtype=complex),
-            eps_norm=0.0,
-            solver="cg",
-            iterations=0,
-            element=x0,
+            f_N_coeffs=np.zeros(0, dtype=complex), eps_norm=0.0, iterations=0, element=x0
         )
         return [sol], None
 
@@ -395,7 +377,7 @@ def solve_cg(
 
     near = CG_FLOOR_MARGIN * floor
     sols, basis = _krylov_iterates(
-        op, r0, rnorm0, N_max, steps, "cg", lambda qr: qr.galerkin_residual <= near, galerkin
+        op, r0, rnorm0, N_max, steps, lambda qr: qr.galerkin_residual <= near, galerkin
     )
     _check_positive(op, basis.H, basis.done)
     for sol in sols:

@@ -31,8 +31,8 @@ from hilbtrunc.diagnostics import (
     classify,
     evaluate,
     noise_series,
-    noisy_pipeline_check,
 )
+from oracles import noisy_pipeline_check
 
 ZETA3 = float(scipy.special.zeta(3))
 

@@ -205,7 +205,7 @@ def test_volterra_apply_sums_atoms_as_apply_block(seed):
     f = Func((0.0, 1.0), leg, {(m, w): c[m] for m in (3, 2, 1, 0)})
     op = Volterra()
     image, row = op.apply(f), op.apply_block(stack([f])[0])
-    assert bitwise_equal(image.leg, row.coords[0])
+    assert bitwise_equal(image.values, row.coords[0])
     assert sorted(image.osc) == list(row.atoms)
     assert bitwise_equal(np.array([image.osc[key] for key in row.atoms]), row.osc[0])
 
@@ -392,7 +392,7 @@ class TestLincombBlock:
         ]
         for coeffs in (rng.standard_normal(25), rng.standard_normal(25) + 1j * rng.standard_normal(25)):
             got, ref = lincomb(coeffs, elems), sequential_lincomb(coeffs, elems)
-            assert np.array_equal(got.leg, ref.leg) and got.osc == ref.osc == {}
+            assert np.array_equal(got.values, ref.values) and got.osc == ref.osc == {}
 
     def test_sequence_sum_is_bitwise_sequential(self):
         rng = np.random.default_rng(4)
@@ -428,7 +428,7 @@ class TestLincombBlock:
         ]
         coeffs = np.array([0.5, -1.0 + 1j, 2.0, 4.0])
         got, ref = lincomb(coeffs, elems), sequential_lincomb(coeffs, elems)
-        assert np.array_equal(got.leg, ref.leg)
+        assert np.array_equal(got.values, ref.values)
         assert set(got.osc) == set(ref.osc)
         for key, c in ref.osc.items():
             assert abs(got.osc[key] - c) <= 1e-15 * abs(c)
@@ -440,7 +440,7 @@ class TestLincombBlock:
         p = compress(op, leg, leg, 30, Func.from_poly(op.space[1], [0, 0, 1]))
         sol = solve_direct(p)
         ref = sequential_lincomb(sol.f_N_coeffs, leg.elements(30))
-        assert np.array_equal(lift(sol, leg).leg, ref.leg)
+        assert np.array_equal(lift(sol, leg).values, ref.values)
 
 
 def test_gram_entries_do_not_depend_on_the_block():

@@ -1,10 +1,12 @@
 """Tests for the experiment runner: configs, presets, CSV output, demos."""
 
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -400,6 +402,11 @@ class TestConfigValueErrors:
              "bad exact_solution spec 'zero:9': zero takes no argument"),
             # bases, solution families and sections
             (_truncation_ini("volterra", "poly:1", "nope", "nope"), "unknown basis 'nope'"),
+            # the Krylov solvers use neither key, yet a name is still checked
+            (_truncation_ini("volterra", "poly:1", "nope", "legendre", solver="gmres"),
+             "unknown basis 'nope'"),
+            (_truncation_ini("mult-x:1,2", "poly:0,0,1", "legendre", "nope", solver="cg"),
+             "unknown basis 'nope'"),
             (_truncation_ini("volterra", "poly:1", truncation="solution_family = nope\n"),
              "unknown solution_family 'nope'"),
             (_truncation_ini("volterra", "poly:1", "adversarial", "adversarial"),
@@ -411,7 +418,7 @@ class TestConfigValueErrors:
             (NOISE_INI + "nu_law = pow:1,1.5\n[output]\ncsv = out.csv\n",
              "config parse failure: While reading from '<string>' [line  5]: "
              "option 'nu_law' in section 'noise' already exists"),
-            (NOISE_INI + "n_max = 0\n[output]\ncsv = out.csv\n", "need N_max >= 1, got 0"),
+            (NOISE_INI + "n_max = 0\n[output]\ncsv = out.csv\n", "n_max must be >= 1, got 0"),
             (NOISE_INI.replace("pow:1,1", "foo:1", 1) + "[output]\ncsv = out.csv\n",
              "bad sigma_law spec 'foo:1': unknown law kind 'foo:1'"),
         ],
@@ -423,7 +430,7 @@ class TestConfigValueErrors:
             "basis-e-zero", "func-unknown-preset", "exact-solution-not-a-number",
             "volterra-with-argument", "right-shift-with-argument", "zero-datum-with-argument",
             "zero-solution-with-argument",
-            "unknown-trial", "unknown-solution-family", "adversarial-trial",
+            "unknown-trial", "unknown-trial-gmres", "unknown-test-cg", "unknown-solution-family", "adversarial-trial",
             "svd-with-legendre", "truncation-in-noise", "repeated-key",
             "noise-n-max-zero", "unknown-sigma-law",
         ],
@@ -849,3 +856,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_memory_stays_bounded_over_a_long_session(tmp_path, capsys):
+    """100 runs in one process, alternating a Legendre preset and a
+    Fourier/Legendre config: once the memos are warm, what the runs keep
+    does not grow.  One leaked 100 x 100 complex A_N is 160 KiB."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_truncation_ini("mult-x:1,2", "poly:0,0,1", "fourier", "legendre", n_list="4,8,16,28"))
+    out = str(tmp_path / "o.csv")
+    argvs = [["run", "volterra-g1", "--out", out], ["run", str(cfg), "--out", out]]
+    tracemalloc.start()
+    try:
+        for n in range(1, 101):
+            assert main(argvs[n % 2]) == 0
+            if n in (20, 100):
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0]
+                if n == 20:
+                    warm = size
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert size - warm < 512 * 1024

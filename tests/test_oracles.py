@@ -26,6 +26,7 @@ from hilbtrunc.diagnostics import NoiseModel, evaluate, noise_series
 from hilbtrunc.elements import Func, _moment_block, iosc, leg_osc_integral
 from hilbtrunc.operators import MultiplicationX, Volterra, parse_law
 from hilbtrunc.truncation import compress, solve_direct
+from oracles import eval_at
 
 
 def osc_moments(interval, w, pmax, dps):
@@ -326,8 +327,8 @@ def test_mixed_compression_against_pointwise_quadrature(operator, pair):
     a, b = interval
     x = 0.5 * (b - a) * x + 0.5 * (a + b)
     w = 0.5 * (b - a) * w
-    V = np.array([v.eval_at(x) for v in test.elements(N)])
-    AU = np.array([operator.apply(u).eval_at(x) for u in trial.elements(N)])
+    V = np.array([eval_at(v, x) for v in test.elements(N)])
+    AU = np.array([eval_at(operator.apply(u), x) for u in trial.elements(N)])
     oracle = (np.conj(V) * w) @ AU.T
     assert np.max(np.abs(A - oracle)) <= 1e-12 * np.max(np.abs(A))
 

@@ -46,12 +46,12 @@ import hilbtrunc.truncation as truncation
 from hilbtrunc.truncation import (
     ApproxSolution,
     compress,
-    givens_residuals,
     lift,
     solve_cg,
     solve_direct,
     solve_gmres,
 )
+from oracles import eval_at, givens_residuals
 
 
 class TestCompress:
@@ -93,8 +93,8 @@ class TestCompress:
             au = op.apply(leg.element(int(j)))
             oracle = np.sum(
                 rule.weights
-                * np.conj(leg.element(int(i)).eval_at(rule.nodes))
-                * au.eval_at(rule.nodes)
+                * np.conj(eval_at(leg.element(int(i)), rule.nodes))
+                * eval_at(au, rule.nodes)
             )
             assert abs(p.A_N[i - 1, j - 1] - oracle) < 1e-12
 
@@ -109,7 +109,7 @@ class TestCompress:
         leg = legendre_basis((0.0, 1.0))
         rule = gauss_legendre(40, 0.0, 1.0)
         coeffs = [
-            np.sum(rule.weights * np.conj(e.eval_at(rule.nodes)) * np.exp(rule.nodes))
+            np.sum(rule.weights * np.conj(eval_at(e, rule.nodes)) * np.exp(rule.nodes))
             for e in leg.elements(13)
         ]
         datum = Func.from_leg((0.0, 1.0), coeffs)
@@ -164,18 +164,18 @@ class TestCompress:
 
 class TestLift:
     def test_zero_coefficients(self):
-        sol = ApproxSolution(np.zeros(3), 0.0, "qr", 0)
+        sol = ApproxSolution(np.zeros(3), 0.0, 0)
         el = lift(sol, legendre_basis((0.0, 1.0)))
         assert el.norm() < 1e-15
 
     def test_canonical_padding(self):
-        sol = ApproxSolution(np.array([1.0, 2.0]), 0.0, "qr", 0)
+        sol = ApproxSolution(np.array([1.0, 2.0]), 0.0, 0)
         el = lift(sol, canonical_basis())
         assert el.component(1) == 1.0 and el.component(2) == 2.0 and el.component(3) == 0.0
 
     def test_norm_preserved(self):
         vals = np.array([0.3, -0.4j, 1.2])
-        sol = ApproxSolution(vals, 0.0, "qr", 0)
+        sol = ApproxSolution(vals, 0.0, 0)
         el = lift(sol, fourier_basis((0.0, 1.0)))
         assert abs(el.norm() - np.linalg.norm(vals)) < 1e-12
 
@@ -188,10 +188,10 @@ class TestLift:
         for N in (2, 3, 6):
             padded = np.zeros(N, dtype=complex)
             padded[:2] = coeffs
-            sol = ApproxSolution(padded, 0.0, "qr", 0)
+            sol = ApproxSolution(padded, 0.0, 0)
             el = lift(sol, basis)
             np.testing.assert_allclose(
-                el.eval_at(rule.nodes).real, rule.nodes, atol=1e-12
+                eval_at(el, rule.nodes).real, rule.nodes, atol=1e-12
             )
 
 
@@ -225,7 +225,7 @@ class TestLiftPlacement:
         basis = COORDINATE_FRAMES[frame]()
         assert basis.coordinates is not None
         coeffs = signed_zero_coeffs(N, seed=N)
-        placed = lift(ApproxSolution(coeffs, 0.0, "qr", 0), basis)
+        placed = lift(ApproxSolution(coeffs, 0.0, 0), basis)
         summed = lincomb(coeffs, basis.elements(N))
         assert type(placed) is type(summed)
         if isinstance(summed, Seq):
@@ -234,15 +234,15 @@ class TestLiftPlacement:
         else:
             assert placed.interval == summed.interval
             assert placed.osc == summed.osc == {}
-            got, want = placed.leg, summed.leg
+            got, want = placed.values, summed.values
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(got == want)
 
     def test_placement_copies_the_coefficients(self):
         coeffs = np.array([1.0, 2.0j])
-        el = lift(ApproxSolution(coeffs, 0.0, "qr", 0), legendre_basis((0.0, 1.0)))
+        el = lift(ApproxSolution(coeffs, 0.0, 0), legendre_basis((0.0, 1.0)))
         coeffs[0] = 7.0
-        assert el.leg[0] == 1.0
+        assert el.values[0] == 1.0
 
     def test_other_bases_go_through_lincomb(self, monkeypatch):
         op = Volterra()
@@ -263,10 +263,10 @@ class TestLiftPlacement:
         monkeypatch.setattr(truncation, "lincomb", counted)
         for basis in bases:
             assert basis.coordinates is None
-            lift(ApproxSolution(signed_zero_coeffs(3, seed=1), 0.0, "qr", 0), basis)
+            lift(ApproxSolution(signed_zero_coeffs(3, seed=1), 0.0, 0), basis)
         assert calls == [3] * len(bases)
         for frame in COORDINATE_FRAMES.values():
-            lift(ApproxSolution(np.ones(3), 0.0, "qr", 0), frame())
+            lift(ApproxSolution(np.ones(3), 0.0, 0), frame())
         assert calls == [3] * len(bases)
 
 
@@ -882,7 +882,7 @@ class TestSolveCg:
         for sol in some:
             ref = by_step[sol.iterations]
             assert np.array_equal(sol.f_N_coeffs, ref.f_N_coeffs)
-            assert np.array_equal(sol.element.leg, ref.element.leg)
+            assert np.array_equal(sol.element.values, ref.element.values)
 
     def test_basis_is_built_on_the_initial_residual(self):
         f0 = Func.from_poly((1.0, 2.0), [1.0])
@@ -928,7 +928,7 @@ def eager_solve_gmres(op, g, N_max, tol=1e-10, steps=None):
         res = float(np.linalg.norm(H[: n + 1, :n] @ y - rhs))
         stop = res <= tol
         if n in wanted or n == last or stop:
-            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=res, solver="gmres", iterations=n))
+            sols.append(ApproxSolution(f_N_coeffs=y, eps_norm=res, iterations=n))
         if stop:
             break
     return sols, basis
@@ -950,8 +950,7 @@ def eager_solve_cg(op, g, N_max, f0=None, steps=None):
     floor = 1e-15 * max(g.norm(), 1.0)
     if rnorm0 <= floor:
         sol = ApproxSolution(
-            f_N_coeffs=np.zeros(0, dtype=complex), eps_norm=0.0, solver="cg",
-            iterations=0, element=x0,
+            f_N_coeffs=np.zeros(0, dtype=complex), eps_norm=0.0, iterations=0, element=x0,
         )
         return [sol], None
     basis = krylov_basis(op, r0, N_max + 1)
@@ -977,7 +976,6 @@ def eager_solve_cg(op, g, N_max, f0=None, steps=None):
                 ApproxSolution(
                     f_N_coeffs=y,
                     eps_norm=float(np.linalg.norm(T @ y - rhs)),
-                    solver="cg",
                     iterations=n,
                     element=x0 + lincomb(y, basis.elements(n)),
                 )
@@ -1015,15 +1013,12 @@ def assert_same_solutions(got, want):
     assert [s.iterations for s in got] == [s.iterations for s in want]
     for a, b in zip(got, want):
         assert_same_bits(a.f_N_coeffs, b.f_N_coeffs)
-        assert a.eps_norm == b.eps_norm and a.solver == b.solver
+        assert a.eps_norm == b.eps_norm
         if b.element is None:
             assert a.element is None
-        elif isinstance(b.element, Seq):
-            assert a.element.origin == b.element.origin
-            assert_same_bits(a.element.values, b.element.values)
         else:
-            assert a.element.osc == b.element.osc == {}
-            assert_same_bits(a.element.leg, b.element.leg)
+            assert a.element.origin == b.element.origin and a.element.osc == b.element.osc == {}
+            assert_same_bits(a.element.values, b.element.values)
 
 
 @pytest.mark.bitwise
