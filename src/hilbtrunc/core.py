@@ -8,10 +8,13 @@ and safe to share across threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 #: Relative rank threshold for least squares: singular values below
 #: RANK_RTOL times the largest one are treated as zero.
@@ -73,7 +76,54 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
-def qr_least_squares(A: np.ndarray, b, band=None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class BandMatrix:
+    """An n x n matrix held by its diagonals, kl below and ku above the
+    main one, in LAPACK's band layout: row ku + i - j of `ab` holds entry
+    (i, j), and the positions outside the matrix hold zeros.  The array
+    `dense` is built when first asked for; until then `A @ x` is the band
+    product, O(n (kl + ku + 1)).
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    shape = property(lambda self: (self.ab.shape[1],) * 2)
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        """The entries (i, i + k), -kl <= k <= ku, as `np.diagonal`."""
+        n = self.ab.shape[1]
+        return self.ab[self.ku - k, max(k, 0) : max(n + min(k, 0), 0)]
+
+    def leading(self, n: int) -> "BandMatrix":
+        """The leading n x n block.  Those of a matrix of at most
+        BANDED_MIN_N rows, which pivoted QR solves, share its `dense`."""
+        ab = self.ab[:, :n].copy()
+        ab[np.arange(n) + np.arange(-self.ku, self.kl + 1)[:, None] >= n] = 0.0  # below the block
+        ab.flags.writeable = False
+        block = BandMatrix(ab, self.kl, self.ku)
+        if self.shape[0] <= BANDED_MIN_N:
+            block.__dict__["dense"] = self.dense[:n, :n]
+        return block
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        n = self.shape[0]
+        A = np.zeros((n, n), dtype=self.ab.dtype)
+        for k in range(-self.kl, self.ku + 1):
+            d = self.diagonal(k)
+            A.reshape(-1)[max(-k, 0) * n + max(k, 0) :: n + 1][: len(d)] = d
+        A.flags.writeable = False
+        return A
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if "dense" in self.__dict__:
+            return self.dense @ x
+        offsets = np.arange(self.ku, -self.kl - 1, -1)  # of the rows of `ab`
+        return scipy.sparse.dia_array((self.ab, offsets), shape=self.shape) @ x
+
+
+def qr_least_squares(A, b) -> np.ndarray:
     """Minimum-norm minimizer of ||A x - b||.
 
     For square nonsingular A this is the exact solution.  Rank decisions
@@ -84,52 +134,58 @@ def qr_least_squares(A: np.ndarray, b, band=None) -> np.ndarray:
     BANDED_MIN_N that banded LU proves to have full rank is solved by
     that LU (see `_banded_solve`); every other system, and every one of
     at most BANDED_MIN_N rows, by pivoted-QR least squares (`gelsy`).
-    `band` = (kl, ku), when given, must bound A's lower and upper
-    bandwidths; it spares the banded path the scan of A for them.
+    A is an array or a `BandMatrix`.
     """
     b = np.asarray(b).reshape(-1)
     if A.shape[0] != len(b):
         raise ValueError(f"dimension mismatch: A has {A.shape[0]} rows, b has {len(b)}")
-    if not b.any() and np.isfinite(A).all():
-        gelsy = scipy.linalg.get_lapack_funcs("gelsy", (A, b))
+    entries = A.ab if isinstance(A, BandMatrix) else A
+    if not b.any() and np.isfinite(entries).all():
+        gelsy = scipy.linalg.get_lapack_funcs("gelsy", (entries, b))
         return np.zeros(A.shape[1], dtype=gelsy.dtype)
-    x = _banded_solve(A, b, band)
+    x = _banded_solve(A, b)
     if x is None:
-        x, _, _, _ = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")
+        dense = A.dense if isinstance(A, BandMatrix) else A
+        x, _, _, _ = scipy.linalg.lstsq(dense, b, cond=RANK_RTOL, lapack_driver="gelsy")
     return x
 
 
-def _banded_solve(A: np.ndarray, b: np.ndarray, band=None):
+def _banded_solve(A, b: np.ndarray):
     """Solution of a square band system of full rank by banded LU, or None.
 
-    Applies when A is N x N with N > BANDED_MIN_N, its lower and upper
-    bandwidths kl and ku satisfy 2 kl + ku + 1 < N, and the entries are
-    finite (kl and ku from `_bandwidths`, inside `band` when given).  The
-    band is factored by `?gbtrf` and solved by `?gbtrs`, O(N (kl + 1)
-    (kl + ku + 1)) work in place of pivoted QR's O(N^3); the LAPACK
-    routines follow the dtype of A and b.
+    Applies when A is N x N with N > BANDED_MIN_N, its bandwidths kl and
+    ku (from `_bandwidths`) satisfy 2 kl + ku + 1 < N, and the entries
+    are finite.  `?gbtrf` factors the band and `?gbtrs` solves, O(N (kl
+    + 1) (kl + ku + 1)) work in place of pivoted QR's O(N^3), in the
+    dtype of A and b.
 
-    Full rank counts as proven when `?gbcon`'s estimate of the
-    reciprocal 1-norm condition number is at least 10 N RANK_RTOL.  Since
-    cond_2 <= N cond_1, and the estimate of cond_1 usually falls short of
-    it by less than 10x, `gelsy` would then find full rank at RANK_RTOL
-    too, and both return the unique solution.  The factor 10 is a
-    heuristic margin, not a proof.  Returns None (so pivoted QR) on a
-    zero pivot, a rank not proven, or a NaN estimate.
+    Full rank counts as proven when `?gbcon`'s estimates of the factors'
+    reciprocal condition numbers give rcond_1 >= 10 N RANK_RTOL (as
+    cond_2 <= N cond_1) or sqrt(rcond_1 rcond_inf) >= 10 RANK_RTOL (as
+    cond_2 <= sqrt(cond_1 cond_inf), from ||B||_2 <= sqrt(||B||_1
+    ||B||_inf); Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 6).  The estimates usually fall short of cond by
+    less than 10x, so `gelsy` would find full rank at RANK_RTOL too; the
+    factor 10 is a heuristic margin, not a proof.  Returns None (so
+    pivoted QR) on a zero pivot, a rank not proven, or a NaN estimate.
     """
     n = A.shape[0]
     if A.shape[1] != n or n <= BANDED_MIN_N:
         return None
-    kl, ku = _bandwidths(A, band)
+    kl, ku = _bandwidths(A)
     if 2 * kl + ku + 1 >= n:
         return None
-    gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (A, b))
+    names = ("gbtrf", "gbcon", "gbtrs")
+    gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(names, (A.diagonal(), b))
     # band storage: row kl + ku + i - j holds A[i, j]; the top kl rows
     # are room for the fill-in of the row interchanges
     ab = np.zeros((2 * kl + ku + 1, n), dtype=gbtrf.dtype)
     for k in range(-kl, ku + 1):
-        ab[kl + ku - k, max(k, 0) : n + min(k, 0)] = np.diagonal(A, k)
-    anorm = np.abs(ab).sum(axis=0).max()  # ||A||_1, the largest column sum
+        ab[kl + ku - k, max(k, 0) : n + min(k, 0)] = A.diagonal(k)
+    mag = np.abs(ab[kl:])
+    anorm = mag.sum(axis=0).max()  # ||A||_1, the largest column sum
+    # ||A||_inf, the largest row sum; np.roll wraps only zeros, from outside A
+    inorm = sum(np.roll(row, r - ku) for r, row in enumerate(mag)).max()
     if not (np.isfinite(anorm) and np.isfinite(b).all()):
         return None
     lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
@@ -137,24 +193,22 @@ def _banded_solve(A: np.ndarray, b: np.ndarray, band=None):
         return None
     rcond, _ = gbcon(kl, ku, lu, ipiv, anorm)
     if not rcond >= 10 * n * RANK_RTOL:
-        return None
+        rcond_inf, _ = gbcon(kl, ku, lu, ipiv, inorm, norm="I")
+        if not math.sqrt(rcond * rcond_inf) >= 10 * RANK_RTOL:
+            return None
     x, _ = gbtrs(lu, kl, ku, b.astype(gbtrf.dtype)[:, None], ipiv, overwrite_b=1)
     return x[:, 0]
 
 
-def _bandwidths(A: np.ndarray, band=None) -> tuple:
-    """The lower and upper bandwidths (kl, ku) of A's nonzeros.
-
-    With `band` = (kl, ku) bounding them they come from the diagonals
-    inside it that hold a nonzero, O(N) each; else from a scan of all of
-    A, O(N^2).  Both give the same pair.
-    """
-    if band is None:
+def _bandwidths(A) -> tuple:
+    """The lower and upper bandwidths (kl, ku) of A's nonzeros: from a
+    `BandMatrix`'s diagonals, O(N) each, or a scan of an array, O(N^2)."""
+    if isinstance(A, BandMatrix):
+        held = [k for k in range(-A.kl, A.ku + 1) if A.diagonal(k).any()]
+        offsets = np.array(held, dtype=int)
+    else:
         rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
         offsets = cols - rows
-    else:
-        held = [k for k in range(-band[0], band[1] + 1) if np.diagonal(A, k).any()]
-        offsets = np.array(held, dtype=int)
     return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
 

@@ -568,7 +568,12 @@ def appended(block: CoordinateBlock, e) -> CoordinateBlock:
     # e's window [lo, hi) in place of the block's columns inside it
     index = np.concatenate([block.index[:a], np.arange(lo, hi), block.index[b:]])
     coords = np.zeros((n + 1, len(index)), dtype=complex)
-    coords[:n, np.searchsorted(index, block.index)] = block.coords
+    m = len(block.index)
+    if m and block.index[-1] - block.index[0] == m - 1:  # one run, so one run of `index` too
+        at = slice(start := int(np.searchsorted(index, block.index[0])), start + m)
+    else:
+        at = np.searchsorted(index, block.index)
+    coords[:n, at] = block.coords
     coords[n, a : a + hi - lo] = e.values
     atoms = sorted(set(block.atoms) | set(e.osc))
     slot = {key: j for j, key in enumerate(atoms)}

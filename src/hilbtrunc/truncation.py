@@ -13,13 +13,13 @@ which minimizes the energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .core import CapabilityError, RANK_RTOL, qr_least_squares, singular_values
+from .core import BandMatrix, CapabilityError, RANK_RTOL, qr_least_squares, singular_values
 from .bases import KrylovBasis, OrthonormalBasis
 from .elements import appended, inner_matrix, lincomb
 from .operators import BoundedOperator
@@ -28,19 +28,20 @@ from .operators import BoundedOperator
 SOLUTION_FAMILIES = ("min-norm", "kernel-unit", "kernel-scaled")
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedProblem:
-    """The pair (A_N, g_N); entries are read-only.
-
-    `band` = (kl, ku) bounds the lower and upper bandwidths of A_N on a
-    pair of coordinate frames, from the operator's `frame_band`; None on
-    any other pair.  Problems compare and hash by identity.
+    """The pair (A_N, g_N); entries are read-only.  `matrix` stores A_N:
+    on a pair of coordinate frames a `BandMatrix` of bandwidths `band` =
+    (kl, ku), whose `dense` is `A_N`; on any other pair the array A_N,
+    and `band` is None.  Problems compare and hash by identity.
     """
 
-    N: int
-    A_N: np.ndarray
-    g_N: np.ndarray
-    band: Optional[tuple] = None
+    def __init__(self, N: int, A_N, g_N: np.ndarray):
+        self.N, self.matrix, self.g_N = N, A_N, g_N
+        self.band = (A_N.kl, A_N.ku) if isinstance(A_N, BandMatrix) else None
+
+    @property
+    def A_N(self) -> np.ndarray:
+        return self.matrix if self.band is None else self.matrix.dense
 
     def leading(self, N: int) -> "TruncatedProblem":
         """The truncation at size N <= self.N: the leading N x N block.
@@ -51,7 +52,8 @@ class TruncatedProblem:
         """
         if not 1 <= N <= self.N:
             raise ValueError(f"need 1 <= N <= {self.N}, got {N}")
-        return replace(self, N=N, A_N=self.A_N[:N, :N], g_N=self.g_N[:N])
+        A = self.matrix[:N, :N] if self.band is None else self.matrix.leading(N)
+        return TruncatedProblem(N, A, self.g_N[:N])
 
 
 @dataclass
@@ -95,9 +97,10 @@ def compress(
     probes of the trial frame (Curtis, Powell & Reid, J. Inst. Math.
     Appl. 13, 1974): each entry in the band is read from the probe that
     holds its column, with the bits the frame's block gives it, and
-    every other entry is a zero.  That is O(N s) work and one N x N
-    array, and the problem carries A_N's band.  Any other pair maps the
-    trial block (a frame's own block, or the stacked trial elements).
+    every other entry is a zero.  That is O(N s) work and memory: the
+    problem holds A_N as its band, the diagonals the entries sit on.  Any
+    other pair maps the trial block (a frame's own block, or the stacked
+    trial elements).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -119,18 +122,19 @@ def compress(
         inside = (reach >= 0) & (reach < N)
         cols = np.broadcast_to(np.arange(N), reach.shape)[inside]
         rows = np.argsort(at)[reach[inside]]
-        A = np.zeros((N, N), dtype=complex)
-        A[rows, cols] = P[rows, at[cols] % s]
         offsets = cols - rows
-        band = (-int(offsets.min(initial=0)), int(offsets.max(initial=0)))
+        lower, upper = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+        ab = np.zeros((lower + upper + 1, N), dtype=complex)
+        ab[upper - offsets, cols] = P[rows, at[cols] % s]
+        ab.flags.writeable = False
+        A = BandMatrix(ab, lower, upper)
     else:
         P = inner_matrix(tests, appended(op.apply_block(trial.block(N)), g))
         A = np.ascontiguousarray(P[:, :N])
-        band = None
+        A.flags.writeable = False
     gvec = P[:, -1].copy()
-    A.flags.writeable = False
     gvec.flags.writeable = False
-    return TruncatedProblem(N=N, A_N=A, g_N=gvec, band=band)
+    return TruncatedProblem(N, A, gvec)
 
 
 def lift(sol: ApproxSolution, trial: OrthonormalBasis):
@@ -188,16 +192,18 @@ def solve_direct(p: TruncatedProblem, family: str = "min-norm") -> ApproxSolutio
     singular: "kernel-unit" adds the unit kernel vector to the
     minimum-norm solution, "kernel-scaled" adds N times it.  For a
     nonsingular A_N both reduce to the unique solution.
+    A band-stored A_N is made dense once, where pivoted QR or the kernel
+    vector needs it; without that, `eps_norm` is from the band product.
     """
     if family not in SOLUTION_FAMILIES:
         raise ValueError(f"unknown solution family {family!r}")
-    x = qr_least_squares(p.A_N, p.g_N, band=p.band)
+    x = qr_least_squares(p.matrix, p.g_N)
     if family != "min-norm":
         kernel = _kernel_vector(p.A_N)
         if kernel is not None:
             scale = 1.0 if family == "kernel-unit" else float(p.N)
             x = x + scale * kernel
-    eps = float(np.linalg.norm(p.A_N @ x - p.g_N))
+    eps = float(np.linalg.norm(p.matrix @ x - p.g_N))
     return ApproxSolution(f_N_coeffs=x, eps_norm=eps, iterations=0)
 
 

@@ -16,8 +16,9 @@ from hilbtrunc.bases import (
     legendre_basis,
     svd_bases,
 )
-from hilbtrunc.cli import main, make_basis
+from hilbtrunc.cli import main, make_basis, parse_element
 from hilbtrunc.core import CapabilityError, SpaceMismatchError
+from hilbtrunc.diagnostics import evaluate
 from hilbtrunc.elements import (
     Func,
     Seq,
@@ -243,21 +244,48 @@ def test_frame_pair_builds_no_element_and_applies_no_element(operator, frame, mo
     assert p.A_N.shape == (50, 50) and calls == []
 
 
+#: The traced peak of frame-pair work, in complex entries per unit of N.
+#: Measured: 15.2-23.1 for compress at N = 640 (16 the sequence frames,
+#: 23 volterra) and 20.9-21.5 for the sweep at N = 2000, with and
+#: without memos warmed.
+FRAME_PEAK_PER_N = 32
+
+
+def traced_peak(work):
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("operator,frame", FRAME_PAIRS, ids=[p[0] for p in FRAME_PAIRS])
 def test_frame_pair_peak_memory(operator, frame):
-    """The traced peak of compress at N = 640 stays within 1.25 N^2
-    complex entries: the returned A_N and O(N) probes, with no dense
-    trial block, image or test block."""
+    """The traced peak of compress at N = 640 is linear in N: the band
+    of A_N and O(N) probes, with no N x N array."""
     op = parse_operator(operator)
     g = datum_for(op, oscillatory=False)
     basis = frame(op)
-    tracemalloc.start()
-    try:
-        compress(op, basis, basis, 640, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 640**2 * 16
+    peak = traced_peak(lambda: compress(op, basis, basis, 640, g))
+    assert peak <= FRAME_PEAK_PER_N * 640 * 16
+
+
+def test_frame_sweep_peak_memory():
+    """A whole volterra legendre/legendre sweep to N = 2000 (compress,
+    every solve_direct, every evaluate) stays linear in N: the dense
+    block is built only at N <= BANDED_MIN_N.  One dense 2000 x 2000
+    A_N alone is 64 MB, 2000 entries per unit of N."""
+    op = parse_operator("volterra")
+    g = parse_element("poly:0.3,1,0.5", op)
+    leg = make_basis("legendre", op, g, 2000)
+
+    def sweep():
+        base = compress(op, leg, leg, 2000, g)
+        for N in (100, 500, 1000, 2000):
+            evaluate(op, g, solve_direct(base.leading(N)), leg, leg)
+
+    assert traced_peak(sweep) <= FRAME_PEAK_PER_N * 2000 * 16
 
 
 @pytest.mark.parametrize("N", [1, 7, 40])

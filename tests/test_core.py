@@ -9,6 +9,7 @@ import scipy.linalg
 from hilbtrunc.core import (
     BANDED_MIN_N,
     RANK_RTOL,
+    BandMatrix,
     _bandwidths,
     gauss_legendre,
     qr_least_squares,
@@ -177,9 +178,42 @@ class TestQrLeastSquares:
         assert x.dtype == dtype_want and x.shape == (N,)
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
+    def test_condition_certificate_without_the_factor_n(self, monkeypatch):
+        """A complex tridiagonal system at N = 300 whose last row is
+        scaled by 1e-9: ?gbcon's rcond_1 = 6.4e-11 lies between 10
+        RANK_RTOL and 10 N RANK_RTOL, so the 1-norm rule alone refuses
+        the LU, but sqrt(rcond_1 rcond_inf) = 9.9e-11 >= 10 RANK_RTOL
+        proves full rank (sigma_min / sigma_max = 1.5e-10)."""
+        N = 300
+        rng = np.random.default_rng(11)
+
+        def c(m):
+            return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+        A = np.diag(1.0 + 0.1 * c(N)) + np.diag(0.25 * c(N - 1), 1) + np.diag(0.1 * c(N - 1), -1)
+        A[-1, -2:] = 1e-9
+        b = c(N)
+        ab = np.zeros((4, N), dtype=complex)
+        for k in (-1, 0, 1):
+            ab[2 - k, max(k, 0) : N + min(k, 0)] = np.diagonal(A, k)
+        gbtrf, gbcon = scipy.linalg.get_lapack_funcs(("gbtrf", "gbcon"), (A,))
+        lu, ipiv, _ = gbtrf(ab, 1, 1)
+        rcond_1 = gbcon(1, 1, lu, ipiv, np.abs(A).sum(axis=0).max())[0]
+        rcond_inf = gbcon(1, 1, lu, ipiv, np.abs(A).sum(axis=1).max(), norm="I")[0]
+        assert 10 * RANK_RTOL < rcond_1 < 10 * N * RANK_RTOL
+        assert math.sqrt(rcond_1 * rcond_inf) >= 10 * RANK_RTOL
+        want = scipy.linalg.lstsq(A, b, cond=RANK_RTOL, lapack_driver="gelsy")[0]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called for a certified band system")
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", refused)
+        x = qr_least_squares(A, b)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)])
     def test_declared_band_gives_the_scans_bandwidths_and_bits(self, bands):
-        """A declared band two diagonals wider than the nonzeros, its
+        """A BandMatrix stored two diagonals wider than the nonzeros, its
         outer diagonals holding -0.0 and an inner one zero: the diagonals
         it reads give the bandwidths of a scan, and the solve the scan's
         bits."""
@@ -196,9 +230,9 @@ class TestQrLeastSquares:
             rows = np.arange(max(-k, 0), N - max(k, 0))
             A[rows, rows + k] = -0.0
         b = rng.standard_normal(N) + 0j
-        declared = (kl + 2, ku + 2)
-        assert _bandwidths(A, declared) == _bandwidths(A) == (kl, ku)
-        assert qr_least_squares(A, b, band=declared).tobytes() == qr_least_squares(A, b).tobytes()
+        B = band_matrix(A, kl + 2, ku + 2)
+        assert _bandwidths(B) == _bandwidths(A) == (kl, ku)
+        assert qr_least_squares(B, b).tobytes() == qr_least_squares(A, b).tobytes()
 
     @pytest.mark.parametrize("tiny", [1e-13, 1e-20])
     def test_band_of_unproven_rank_keeps_gelsy_bits(self, tiny):
@@ -238,6 +272,58 @@ class TestQrLeastSquares:
         A[1, 2] = np.nan
         with pytest.raises(ValueError):
             qr_least_squares(A, np.zeros(3))
+
+
+def band_matrix(A, kl, ku):
+    """The BandMatrix of A's diagonals kl below to ku above the main one."""
+    n = len(A)
+    ab = np.zeros((kl + ku + 1, n), dtype=A.dtype)
+    for k in range(-kl, ku + 1):
+        ab[ku - k, max(k, 0) : n + min(k, 0)] = np.diagonal(A, k)
+    return BandMatrix(ab, kl, ku)
+
+
+class TestBandMatrix:
+    @pytest.fixture
+    def A(self):
+        """A complex (2, 1) band matrix of N = 40 with signed zeros on
+        its diagonals and +0 outside them."""
+        rng = np.random.default_rng(2)
+        A = np.zeros((40, 40), dtype=complex)
+        for k in (-2, -1, 0, 1):
+            A += np.diag(rng.standard_normal(40 - abs(k)) + 1j * rng.standard_normal(40 - abs(k)), k)
+        A[np.arange(1, 40, 3), np.arange(0, 39, 3)] = -0.0
+        A[np.arange(0, 39, 4), np.arange(1, 40, 4)] = complex(-0.0, 0.0)
+        return A
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    def test_leading_blocks_keep_the_bits(self, A, n):
+        """The leading block's dense array, diagonals and bandwidths are
+        those of the dense leading block, signed zeros included."""
+        B = band_matrix(A, 2, 1).leading(n)
+        assert B.shape == (n, n) and B.dense.tobytes() == A[:n, :n].tobytes()
+        for k in range(-2, 2):
+            assert B.diagonal(k).tobytes() == np.diagonal(A[:n, :n], k).tobytes()
+        assert _bandwidths(B) == _bandwidths(A[:n, :n])
+        with pytest.raises(ValueError):
+            B.dense[0, 0] = 1.0
+
+    def test_product_from_the_band_then_from_the_dense_array(self, A):
+        B = band_matrix(A, 2, 1)
+        x = np.random.default_rng(3).standard_normal(40) + 0j
+        np.testing.assert_allclose(B @ x, A @ x, rtol=0, atol=1e-14 * np.abs(A @ x).max())
+        assert B.dense.tobytes() == A.tobytes()
+        assert (B @ x).tobytes() == (A @ x).tobytes()
+
+    @pytest.mark.parametrize("N", [BANDED_MIN_N, BANDED_MIN_N + 72])
+    def test_solve_has_the_dense_arrays_bits(self, N):
+        """Through pivoted QR (N <= BANDED_MIN_N) and through banded LU."""
+        rng = np.random.default_rng(N)
+        A = np.diag(8.0 + rng.standard_normal(N)) + np.diag(rng.standard_normal(N - 1), 1)
+        A = A + np.diag(1j * rng.standard_normal(N - 2), -2)
+        b = rng.standard_normal(N)
+        B = band_matrix(A, 2, 1)
+        assert qr_least_squares(B, b).tobytes() == qr_least_squares(A, b).tobytes()
 
 
 class TestSingularValues:

@@ -5,7 +5,9 @@ the lifted solution f^(N).  Here each is recomputed from values of
 f^(N) at points, with none of the library's `inner`, `apply` or `norm`:
 the L2 norms from numpy's 400-point Gauss-Legendre rule, the integration
 operator as a Gauss-Legendre rule on each [0, x_j], and `mult-x` as
-x f(x).  The lifted solutions are those the run itself evaluates.
+x f(x).  On sequence operators each norm is an explicit sum over the
+lifted coefficients, mapped by the operator's definition e_n -> w(n)
+e_{n+s}.  The lifted solutions are those the run itself evaluates.
 """
 
 import functools
@@ -72,9 +74,9 @@ def _point_norms(operator, f):
     return norm(g - Af), norm(x - fx), norm(fx)
 
 
-@functools.lru_cache(maxsize=None)
-def _rows(operator, trial, test, solver):
-    """{N: (CSV row, point-value norms)} of one `hilbtrunc run` sweep."""
+def _run(config):
+    """The CSV rows of `hilbtrunc run` on the config text (its csv path
+    given by `{out}`), as dicts, and the lifted solutions it evaluates."""
     lifted = []
     lift = diagnostics.lift
 
@@ -84,15 +86,22 @@ def _rows(operator, trial, test, solver):
 
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(diagnostics, "lift", kept):
         cfg, out = Path(tmp) / "c.ini", Path(tmp) / "o.csv"
-        cfg.write_text(
-            f"[problem]\noperator = {operator}\ndatum = {DATUM}\nexact_solution = poly:0,1\n"
-            f"[truncation]\ntrial = {trial}\ntest = {test}\nsolver = {solver}\n"
-            f"n_list = {','.join(map(str, N_LIST))}\n[output]\ncsv = {out}\n"
-        )
+        cfg.write_text(config.format(out=out))
         assert main(["run", str(cfg)]) == 0
         header, *lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert len(rows) == len(lifted)
+    return rows, lifted
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(operator, trial, test, solver):
+    """{N: (CSV row, point-value norms)} of one `hilbtrunc run` sweep."""
+    rows, lifted = _run(
+        f"[problem]\noperator = {operator}\ndatum = {DATUM}\nexact_solution = poly:0,1\n"
+        f"[truncation]\ntrial = {trial}\ntest = {test}\nsolver = {solver}\n"
+        f"n_list = {','.join(map(str, N_LIST))}\n[output]\ncsv = {{out}}\n"
+    )
     return {int(row["N"]): (row, _point_norms(operator, f)) for row, f in zip(rows, lifted)}
 
 
@@ -119,3 +128,75 @@ def test_residual_and_error_norms_from_point_values(sweep, N):
 def test_solution_norm_from_point_values(sweep, N):
     row, (_, _, sol) = _rows(*sweep)[N]
     assert abs(float(row["sol_norm"]) - sol) <= 1e-10 * max(1.0, sol)
+
+
+#: Sequence operators by their defining maps e_n -> w(n) e_{n+s}, as
+#: {operator: (w, s)}, and the `basis-e` datums each is run with: {(operator,
+#: datum index): index k of the exact solution e_k, or None where the
+#: solution is no unit vector (or none exists) and the config cannot name it}.
+SEQ_MAPS = {
+    "right-shift": (lambda n: 1.0, 1),
+    "weighted-right-shift:pow:1,1": (lambda n: 1.0 / n, 1),
+    "weighted-right-shift-z:pow1:1,1": (lambda n: 1.0 / (abs(n) + 1.0), 1),
+    "mult-seq:pow:1,1": (lambda n: 1.0 / n, 0),
+}
+SEQ_SWEEPS = {
+    ("right-shift", 3): 2,
+    ("right-shift", 1): None,  # not in the range: f^(N) = 0, residual 1
+    ("weighted-right-shift:pow:1,1", 2): 1,
+    ("weighted-right-shift:pow:1,1", 6): None,  # 5 e_5
+    ("weighted-right-shift-z:pow1:1,1", 1): 0,
+    ("weighted-right-shift-z:pow1:1,1", -3): None,  # 5 e_{-4}
+    ("mult-seq:pow:1,1", 1): 1,
+    ("mult-seq:pow:1,1", 7): None,  # 7 e_7
+}
+#: 200 > BANDED_MIN_N: the band-stored truncation, solved by banded LU
+#: on mult-seq and by pivoted QR on the singular shifts
+SEQ_N_LIST = (10, 50, 200)
+
+
+def _sum_norm(x: dict) -> float:
+    return math.sqrt(sum(abs(c) ** 2 for c in x.values()))
+
+
+@functools.lru_cache(maxsize=None)
+def _seq_rows(operator, datum):
+    """{N: (CSV row, (res_norm, err_norm, sol_norm))}, the norms summed
+    from the lifted coefficients by the operator's defining map."""
+    (w, s), exact = SEQ_MAPS[operator], SEQ_SWEEPS[operator, datum]
+    solution = "" if exact is None else f"exact_solution = basis-e:{exact}\n"
+    rows, lifted = _run(
+        f"[problem]\noperator = {operator}\ndatum = basis-e:{datum}\n{solution}"
+        f"[truncation]\ntrial = canonical\ntest = canonical\nsolver = qr\n"
+        f"n_list = {','.join(map(str, SEQ_N_LIST))}\n[output]\ncsv = {{out}}\n"
+    )
+    out = {}
+    for row, f in zip(rows, lifted):
+        coeffs = {f.origin + i: complex(c) for i, c in enumerate(f.values)}
+        residual = {datum: 1.0 + 0j}
+        for n, c in coeffs.items():
+            residual[n + s] = residual.get(n + s, 0j) - w(n) * c
+        err = None
+        if exact is not None:
+            diff = {n: -c for n, c in coeffs.items()}
+            diff[exact] = diff.get(exact, 0j) + 1.0
+            err = _sum_norm(diff)
+        out[int(row["N"])] = (row, (_sum_norm(residual), err, _sum_norm(coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("N", SEQ_N_LIST)
+@pytest.mark.parametrize(
+    "operator,datum", SEQ_SWEEPS, ids=[f"{op}-e{k}" for op, k in SEQ_SWEEPS]
+)
+def test_sequence_norms_from_the_defining_map(operator, datum, N):
+    rows = _seq_rows(operator, datum)
+    assert tuple(rows) == SEQ_N_LIST
+    row, (res, err, sol) = rows[N]
+    bound = 1e-10 * max(1.0, sol)
+    assert abs(float(row["res_norm"]) - res) <= bound
+    assert abs(float(row["sol_norm"]) - sol) <= bound
+    if err is None:
+        assert row["err_norm"] == ""
+    else:
+        assert abs(float(row["err_norm"]) - err) <= bound

@@ -18,6 +18,7 @@ from hilbtrunc.cli import make_basis, parse_element, parse_operator
 from hilbtrunc.core import (
     BANDED_MIN_N,
     RANK_RTOL,
+    BandMatrix,
     CapabilityError,
     _bandwidths,
     gauss_legendre,
@@ -555,17 +556,17 @@ class TestBandedSolve:
         solve_direct reaches without a scan.  The canonical shifts are
         singular, so they still reach gelsy."""
         base = frame_truncation(operator, frame, 640)
-        bands = []  # the band each solve reads its bandwidths from
+        read = []  # the kind of matrix each solve reads its bandwidths from
         monkeypatch.setattr(
-            hilbtrunc.core, "_bandwidths", lambda A, band=None: bands.append(band) or _bandwidths(A, band)
+            hilbtrunc.core, "_bandwidths", lambda A: read.append(type(A)) or _bandwidths(A)
         )
         for N in sizes:
             p = base.leading(N)
             assert p.band is not None
-            assert _bandwidths(p.A_N, p.band) == _bandwidths(p.A_N)
+            assert _bandwidths(p.matrix) == _bandwidths(p.A_N)
             x = solve_direct(p).f_N_coeffs
             assert x.tobytes() == qr_least_squares(p.A_N, p.g_N).tobytes()
-            assert bands[-2:] == [p.band, None]
+            assert read[-2:] == [BandMatrix, np.ndarray]
             if frame == "canonical":
                 assert x.tobytes() == gelsy(p.A_N, p.g_N).tobytes()
 
