@@ -60,6 +60,7 @@ from .diagnostics import (
     NoiseSeries,
     classify,
     evaluate,
+    evaluate_sweep,
     law_tail_sq,
     noise_series,
 )

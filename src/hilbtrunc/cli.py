@@ -42,7 +42,7 @@ from .diagnostics import (
     DEFAULT_TRACKED,
     NoiseModel,
     classify,
-    evaluate,
+    evaluate_sweep,
     noise_series,
 )
 
@@ -409,7 +409,7 @@ def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
             short = min((trial, test), key=lambda b: b.size or n_max)
             raise CapabilityError(f"{short.label} has size {cap}, below the smallest N = {tc.n_list[0]}")
         base = compress(op, trial, test, cap, datum)
-        # lazy: each N is solved as its record is evaluated below
+        # a generator: the sweep solves each N as it reaches its chunk
         family = tc.solution_family
         sols = (solve_direct(base.leading(N), family=family) for N in tc.n_list if N <= cap)
     else:
@@ -421,9 +421,7 @@ def _truncation_records(pc: ProblemConfig, tc: TruncationConfig, tracked):
                 raise ConfigError("cg needs a datum above roundoff (||g|| > 1e-15)")
         test = trial  # the Krylov basis of the datum
     meta["trial"], meta["test"] = trial.label, test.label
-    return meta, [
-        evaluate(op, datum, sol, trial, test, f_exact=f_exact, tracked=tracked) for sol in sols
-    ]
+    return meta, evaluate_sweep(op, datum, sols, trial, test, f_exact=f_exact, tracked=tracked)
 
 
 def _csv_text(meta: dict, columns, rows) -> str:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.special
 
 from .bases import OrthonormalBasis
-from .core import gauss_legendre
-from .elements import inner
+from .core import SpaceMismatchError, gauss_legendre
+from .elements import CoordinateBlock, element, inner, stack
 from .operators import (
     BoundedOperator,
     SequenceLaw,
@@ -57,6 +57,13 @@ class ConvergenceRecord:
     tracked_components: tuple
 
 
+#: A sweep is evaluated in chunks of records whose padded coordinate rows,
+#: two image columns included, hold at most this many complex entries
+#: (32 KiB), or of one record: no block nears glibc's 128 KiB mmap
+#: threshold, and a chunk holds a few solutions alive at a time.
+_CHUNK_ENTRIES = 2048
+
+
 def evaluate(
     op: BoundedOperator,
     g,
@@ -66,42 +73,164 @@ def evaluate(
     f_exact=None,
     tracked: Sequence[int] = DEFAULT_TRACKED,
 ) -> ConvergenceRecord:
-    """Error f - fhat and residual g - A fhat of a lifted solution.
+    """The record of one solution: `evaluate_sweep` of [sol]."""
+    (record,) = evaluate_sweep(op, g, [sol], trial, test, f_exact, tracked)
+    return record
 
-    Without `f_exact` a residual-only record is returned (error fields
-    None).  Component traces use the declared trial/test bases and skip
-    indices beyond a finite family; a Krylov family runs its recursion
-    to an index to find out whether it has one.
+
+def evaluate_sweep(
+    op: BoundedOperator,
+    g,
+    sols: Iterable[ApproxSolution],
+    trial: OrthonormalBasis,
+    test: OrthonormalBasis,
+    f_exact=None,
+    tracked: Sequence[int] = DEFAULT_TRACKED,
+) -> list:
+    """The records of the error f - fhat and residual g - A fhat of each
+    lifted solution fhat, for the solutions `sols` in order.
+
+    Without `f_exact` the records are residual-only (error fields None).
+    Component traces use the declared trial/test bases and skip indices
+    beyond a finite family; a Krylov family runs its recursion to an
+    index to find out whether it has one.
+
+    Each solution is lifted by `lift`, and a chunk of them is applied as
+    one coordinate block, on whose rows g - A fhat and f - fhat are
+    formed as `Func/Seq.__sub__` forms them.  Each norm is taken over
+    the window the element would have had (the operator's
+    `image_window` gives the image's), so it keeps the element's bits.
+    On a coordinate frame a component of an atom-free element is its
+    coefficient at the frame vector's coordinate, which is what `inner`
+    with that vector returns; on any other family it is that `inner`.
+    `sols` may be a generator: it is drawn one chunk at a time.
     """
-    fhat = lift(sol, trial)
-    res_el = g - op.apply(fhat)
-    res_norm = res_el.norm()
-    if sol.element is not None:
-        sol_norm = fhat.norm()
+    base = _window(g) if f_exact is None else _union(_window(g), _window(f_exact))
+    records, chunk, span = [], [], base
+    for sol in sols:
+        fhat = lift(sol, trial)
+        grown = _union(span, _window(fhat))
+        if chunk and (len(chunk) + 1) * (grown[1] - grown[0] + 2) > _CHUNK_ENTRIES:
+            records += _records(op, g, chunk, trial, test, f_exact, tracked)
+            chunk, grown = [], _union(base, _window(fhat))
+        chunk.append((sol, fhat))
+        span = grown
+    if chunk:
+        records += _records(op, g, chunk, trial, test, f_exact, tracked)
+    return records
+
+
+def _records(op, g, chunk, trial, test, f_exact, tracked) -> list:
+    """The records of a chunk of (solution, lifted solution) pairs."""
+    lifted = stack([fhat for _, fhat in chunk])[0]
+    res = _differences(g, op.apply_block(lifted))
+    err = None if f_exact is None else _differences(f_exact, lifted)
+    res_reads = _frame_reads(test, res, tracked)
+    err_reads = None if err is None else _frame_reads(trial, err, tracked)
+    records = []
+    for i, (sol, fhat) in enumerate(chunk):
+        w = _window(fhat)
+        res_window = _union(_window(g), op.image_window(*w))
+        res_norm, res_c = _measure(res, i, res_window, test, tracked, res_reads)
+        err_norm, err_c = None, (None,) * len(tracked)
+        if err is not None:
+            err_window = _union(_window(f_exact), w)
+            err_norm, err_c = _measure(err, i, err_window, trial, tracked, err_reads)
+        if sol.element is not None:
+            sol_norm = fhat.norm()
+        else:
+            sol_norm = float(np.linalg.norm(sol.f_N_coeffs))
+        records.append(
+            ConvergenceRecord(
+                N=len(sol.f_N_coeffs) if len(sol.f_N_coeffs) else sol.iterations,
+                err_norm=err_norm,
+                res_norm=res_norm,
+                sol_norm=sol_norm,
+                eps_norm=sol.eps_norm,
+                tracked_components=tuple(zip(tracked, err_c, res_c)),
+            )
+        )
+    return records
+
+
+def _window(e) -> tuple:
+    """The coefficient window [lo, hi) of an element."""
+    return e.origin, e.origin + len(e.values)
+
+
+def _union(a, b) -> tuple:
+    """The window of u + v for u and v of windows a and b, as
+    `Func/Seq.__add__` forms it: an empty window adds no extent."""
+    if a[0] == a[1]:
+        return b
+    if b[0] == b[1]:
+        return a
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+def _differences(e, block: CoordinateBlock) -> CoordinateBlock:
+    """The rows e - u, u the rows of `block`, with the arithmetic of
+    `Func/Seq.__sub__`: e plus (-1.0) times u, on zeros (addition
+    commutes, so adding e last moves no bit).  Their coordinates run
+    without a gap over the union of e's window and the block's columns;
+    their atoms are the union of both, sorted."""
+    if e.space != block.space:
+        raise SpaceMismatchError(f"cannot pair elements of {e.space} with elements of {block.space}")
+    index = block.index
+    lo, hi = _union(_window(e), (index[0], index[-1] + 1) if len(index) else (0, 0))
+    rows = block.coords.shape[0]
+    coords = np.zeros((rows, hi - lo), dtype=complex)
+    if len(index) and index[-1] - index[0] == len(index) - 1:  # one run: in place
+        np.multiply(-1.0, block.coords, out=coords[:, index[0] - lo : index[-1] + 1 - lo])
     else:
-        sol_norm = float(np.linalg.norm(sol.f_N_coeffs))
-    err_el = None
-    err_norm = None
-    if f_exact is not None:
-        err_el = f_exact - fhat
-        err_norm = err_el.norm()
-    comps = []
-    for n in tracked:
-        err_c = None
-        if err_el is not None and trial.has(n):
-            err_c = inner(trial.element(n), err_el)
-        res_c = None
-        if test.has(n):
-            res_c = inner(test.element(n), res_el)
-        comps.append((n, err_c, res_c))
-    return ConvergenceRecord(
-        N=len(sol.f_N_coeffs) if len(sol.f_N_coeffs) else sol.iterations,
-        err_norm=err_norm,
-        res_norm=res_norm,
-        sol_norm=sol_norm,
-        eps_norm=sol.eps_norm,
-        tracked_components=tuple(comps),
-    )
+        coords[:, index - lo] = (-1.0) * block.coords
+    coords[:, e.origin - lo : e.origin - lo + len(e.values)] += e.values
+    atoms = tuple(sorted(set(e.osc) | set(block.atoms)))
+    slot = {key: j for j, key in enumerate(atoms)}
+    osc = np.zeros((rows, len(atoms)), dtype=complex)
+    for key, c in e.osc.items():
+        osc[:, slot[key]] += c
+    osc[:, [slot[key] for key in block.atoms]] += (-1.0) * block.osc
+    return CoordinateBlock(block.space, coords, np.arange(lo, hi), osc, atoms)
+
+
+def _frame_reads(basis: OrthonormalBasis, block: CoordinateBlock, tracked):
+    """On a coordinate frame, the array of the rows' coefficients at the
+    coordinates of the elements n in `tracked` (zeros where a row's
+    window ends before one); None on any other family."""
+    if basis.coordinates is None or not tracked:
+        return None
+    lo, at = basis.coordinates(max(tracked))
+    cols = lo + at[np.asarray(tracked) - 1] - (block.index[0] if len(block.index) else 0)
+    inside = (cols >= 0) & (cols < len(block.index))
+    reads = np.zeros((block.coords.shape[0], len(tracked)), dtype=complex)
+    reads[:, inside] = block.coords[:, cols[inside]]
+    return reads
+
+
+def _measure(block: CoordinateBlock, i: int, window, basis: OrthonormalBasis, tracked, reads) -> tuple:
+    """(norm, components) of row i of a block of contiguous coordinates,
+    taken as the element e of coefficient window [lo, hi) with the row's
+    nonzero atoms: `e.norm()`, and [<element n of `basis`, e> for n in
+    `tracked`, None where the family has no element n].
+
+    An atom-free row on a coordinate frame, which is unbounded, builds
+    no element.  Its norm is that of its window's coefficients, as
+    `Func/Seq.norm` takes it, and its component n is its coefficient at
+    the coordinate of element n, `reads[i]` (outside the row's window, a
+    zero of the padding): what `inner` with the frame vector, a product
+    with 1, returns.  Any other family, or a row with atoms, takes that
+    `inner` with the element."""
+    lo, hi = window
+    first = int(block.index[0]) if len(block.index) else lo
+    values = block.coords[i, lo - first : hi - first]
+    osc = {}
+    if block.atoms:
+        osc = {key: c for key, c in zip(block.atoms, block.osc[i].tolist()) if c != 0}
+    if reads is not None and not osc:
+        return float(np.linalg.norm(values)), reads[i].tolist()
+    e = element(block.space, lo, values, osc)
+    return e.norm(), [inner(basis.element(n), e) if basis.has(n) else None for n in tracked]
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,12 @@ class BoundedOperator:
         overrides `apply` overrides this too."""
         raise NotImplementedError
 
+    def image_window(self, lo: int, hi: int) -> tuple:
+        """The coefficient window [lo', hi') of `apply`'s image of an
+        element whose window is [lo, hi).  A subclass that overrides
+        `apply` overrides this too."""
+        raise NotImplementedError
+
     def adjoint_apply(self, f):
         raise CapabilityError(f"{self.label} has no adjoint capability")
 
@@ -206,6 +212,9 @@ class _WeightedShift(BoundedOperator):
         return f.shifted(self.step) if self.step else f
 
     apply_block = apply
+
+    def image_window(self, lo, hi):
+        return lo + self.step, hi + self.step  # step >= 0: nothing for `shifted` to cut
 
     def adjoint_apply(self, f):
         self._check(f)
@@ -322,6 +331,9 @@ class Volterra(BoundedOperator):
         columns = columns.reshape(len(atoms), leg.shape[1]).T
         return CoordinateBlock(self.space, leg.T, np.arange(len(leg)), columns, tuple(atoms))
 
+    def image_window(self, lo, hi):
+        return 0, hi + 1  # one degree up, and the constant of an empty window
+
     def adjoint_apply(self, f: Func) -> Func:
         # V* f = <1, f> 1 - V f
         self._check(f)
@@ -376,6 +388,9 @@ class MultiplicationX(BoundedOperator):
         leg = mult_x_leg(self.space[1], block.coords.T)
         atoms = tuple((m + 1, w) for m, w in block.atoms)
         return CoordinateBlock(self.space, leg.T, np.arange(len(leg)), block.osc, atoms)
+
+    def image_window(self, lo, hi):
+        return 0, hi + 1 if hi else 0
 
     adjoint_apply = apply
 

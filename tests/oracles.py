@@ -4,7 +4,8 @@ None of them runs on a program path: each recomputes a quantity the
 library forms another way (point values instead of coefficient
 arithmetic, the explicit kernel of a Volterra power instead of repeated
 application, the closed forms of the noise model instead of the
-pipeline, one Givens QR per Hessenberg matrix instead of per step).
+pipeline, one Givens QR per Hessenberg matrix instead of per step, the
+element arithmetic of one record instead of a sweep's blocks).
 """
 
 import math
@@ -12,10 +13,10 @@ import math
 import numpy as np
 
 from hilbtrunc.bases import svd_bases
-from hilbtrunc.diagnostics import NoiseModel, evaluate
-from hilbtrunc.elements import Func, lincomb
+from hilbtrunc.diagnostics import DEFAULT_TRACKED, ConvergenceRecord, NoiseModel, evaluate
+from hilbtrunc.elements import Func, inner, lincomb
 from hilbtrunc.operators import BoundedOperator, MultiplicationX, Volterra
-from hilbtrunc.truncation import _GivensQR, compress, solve_direct
+from hilbtrunc.truncation import _GivensQR, compress, lift, solve_direct
 
 
 def legendre_values(interval, max_degree: int, x) -> np.ndarray:
@@ -121,3 +122,38 @@ def noisy_pipeline_check(
         worst = max(worst, abs(rec.res_norm ** 2 - res_expect))
         worst = max(worst, abs(rec.err_norm ** 2 - err_expect))
     return worst
+
+
+def evaluate_per_record(op, g, sol, trial, test, f_exact=None, tracked=DEFAULT_TRACKED):
+    """`diagnostics.evaluate` by element arithmetic on one record: the
+    lifted solution applied, subtracted and normed as an element, and
+    each component an `inner` with the basis element."""
+    fhat = lift(sol, trial)
+    res_el = g - op.apply(fhat)
+    res_norm = res_el.norm()
+    if sol.element is not None:
+        sol_norm = fhat.norm()
+    else:
+        sol_norm = float(np.linalg.norm(sol.f_N_coeffs))
+    err_el = None
+    err_norm = None
+    if f_exact is not None:
+        err_el = f_exact - fhat
+        err_norm = err_el.norm()
+    comps = []
+    for n in tracked:
+        err_c = None
+        if err_el is not None and trial.has(n):
+            err_c = inner(trial.element(n), err_el)
+        res_c = None
+        if test.has(n):
+            res_c = inner(test.element(n), res_el)
+        comps.append((n, err_c, res_c))
+    return ConvergenceRecord(
+        N=len(sol.f_N_coeffs) if len(sol.f_N_coeffs) else sol.iterations,
+        err_norm=err_norm,
+        res_norm=res_norm,
+        sol_norm=sol_norm,
+        eps_norm=sol.eps_norm,
+        tracked_components=tuple(comps),
+    )

@@ -456,3 +456,22 @@ def test_images_of_frame_vectors_stay_in_frame_band(opname):
         held = image.origin + np.flatnonzero(image.values)
         assert len(held) and np.all((c - ku <= held) & (held <= c + kl)), (c, held)
         assert np.array_equal(block.index[np.flatnonzero(block.coords[j])], held)
+
+
+@pytest.mark.parametrize("opname", BAND_OPERATORS)
+def test_image_window_is_the_window_of_apply(opname):
+    """`image_window` gives the window of `apply`'s image, empty windows
+    included: a sweep takes each residual norm over it."""
+    op = parse_operator(opname)
+    if op.space[0] == "func":
+        windows = [(0, hi) for hi in range(6)]
+    else:
+        first = 1 if op.space[1] == "nat" else -3
+        windows = [(lo, lo + k) for lo in range(first, first + 4) for k in range(4)]
+    for lo, hi in windows:
+        if op.space[0] == "func":
+            e = Func.from_leg(op.space[1], np.ones(hi))
+        else:
+            e = Seq(op.space[1], lo, np.ones(hi - lo))
+        image = op.apply(e)
+        assert op.image_window(lo, hi) == (image.origin, image.origin + len(image.values))

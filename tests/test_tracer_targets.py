@@ -52,12 +52,13 @@ def test_traced_name_resolves(module, path):
 def _recorded_calls(tmp_path):
     """(traced name, args, kwargs, size) of the calls a CLI sweep makes, the
     size being what the call builds: A_N's order, the solution's length,
-    the record's N."""
+    the record's N (the records' N for the sweep)."""
     calls = []
     size = {
         "compress": lambda p: p.N,
         "solve_direct": lambda s: len(s.f_N_coeffs),
         "evaluate": lambda r: r.N,
+        "evaluate_sweep": lambda rs: [r.N for r in rs],
     }
 
     def recorder(module, name):
@@ -70,7 +71,7 @@ def _recorded_calls(tmp_path):
 
         return mock.patch.object(module, name, call)
 
-    with recorder(cli, "compress"), recorder(cli, "solve_direct"), recorder(cli, "evaluate"):
+    with recorder(cli, "compress"), recorder(cli, "solve_direct"), recorder(cli, "evaluate_sweep"):
         argv = ["run", "volterra-g1", "--n-list", "2,5", "--out", str(tmp_path / "o.csv")]
         assert cli.main(argv) == 0
     # a CG solution of no coordinates: the residual of f0 is already below the floor
@@ -84,8 +85,12 @@ def _recorded_calls(tmp_path):
 def test_size_readers_read_real_calls(tmp_path):
     readers = {key.split(".")[1]: reader for key, reader in _tracer().SIZE_OF.items()}
     calls = _recorded_calls(tmp_path)
-    # one compress, two solves and their records, and the CG record
-    assert sorted(name for name, *_ in calls) == ["compress"] + ["evaluate"] * 3 + ["solve_direct"] * 2
-    assert set(readers) == {name for name, *_ in calls}
+    # one compress, two solves, the sweep of their records, and the CG record
+    names = sorted(name for name, *_ in calls)
+    assert names == ["compress", "evaluate", "evaluate_sweep"] + ["solve_direct"] * 2
+    assert [size for name, *_, size in calls if name == "evaluate_sweep"] == [[2, 5]]
+    # the tracer reads no size of the sweep, which it does not wrap
+    assert set(readers) == set(names) - {"evaluate_sweep"}
     for name, args, kwargs, size in calls:
-        assert readers[name](args, kwargs) == size, name
+        if name in readers:
+            assert readers[name](args, kwargs) == size, name
